@@ -71,11 +71,13 @@ impl MeasuredCost {
         }
         let (_, h0, w0) = t.inputs[0];
         t.out = match t.class {
-            pbqp_dnn_graph::OpClass::MaxPool | pbqp_dnn_graph::OpClass::AvgPool => (
-                t.out.0,
-                (h0 + 2 * pad - k).div_ceil(stride) + 1,
-                (w0 + 2 * pad - k).div_ceil(stride) + 1,
-            ),
+            pbqp_dnn_graph::OpClass::MaxPool | pbqp_dnn_graph::OpClass::AvgPool => {
+                let out = |extent| {
+                    pbqp_dnn_graph::pool_out_dim(extent, k, stride, pad)
+                        .expect("operand dims were clamped to at least the window")
+                };
+                (t.out.0, out(h0), out(w0))
+            }
             // Every other costed class is shape-preserving spatially
             // (concat sums channels, add/relu are elementwise).
             _ => (t.out.0, h0, w0),

@@ -27,6 +27,16 @@
 //!   mul-then-add sequence as the scalar kernel and matches it bit for
 //!   bit. Within one process the dispatch decision is stable, so serial,
 //!   wavefront and batched execution remain bit-identical to each other.
+//! * **[`Microkernel::f32_dot`] defines its own reference order**, as the
+//!   int8 tiers did: [`F32_DOT_LANES`] (= 32) virtual lanes — lane `l`
+//!   accumulates elements `l`, `l + 32`, `l + 64`, … by multiply-then-add
+//!   — reduced by a fixed pairwise tree (`l += l + 16`, `+ 8`, `+ 4`,
+//!   `+ 2`, `+ 1`), then the `len % 32` tail elements added one by one.
+//!   The trait's default body is that order; scalar and SSE2 inherit it
+//!   and agree bit for bit. AVX2 keeps the same lanes and tree in four
+//!   `_mm256_fmadd_ps` accumulators, so it differs only by FMA's single
+//!   rounding: every ISA is within `(len/16 + 72)·ε·Σ|aᵢbᵢ|` of the exact
+//!   dot product (`ε = 2⁻²⁴`), hence within twice that of each other.
 //!
 //! # Example
 //!
@@ -64,6 +74,9 @@ pub const I8_MR: usize = 4;
 /// depth-pairs (see [`pack_b_i8_pairs`]) so `_mm256_madd_epi16`-style
 /// instructions consume two k-steps at once.
 pub const I8_NR: usize = 8;
+/// Virtual accumulator lanes of [`Microkernel::f32_dot`]'s reference
+/// order (four 8-wide accumulators).
+pub const F32_DOT_LANES: usize = 32;
 
 /// An instruction-set tier a microkernel can target.
 ///
@@ -213,6 +226,42 @@ pub trait Microkernel: Send + Sync {
         j0: usize,
         jw: usize,
     );
+
+    /// f32 dot product `Σ a[i]·b[i]` — the GEMV inner kernel of the
+    /// fully-connected layers, which stream each weight row exactly once
+    /// (no packing pays for itself at one use per element).
+    ///
+    /// This default body *is* the reference summation order (see the
+    /// module's numerical contract): [`F32_DOT_LANES`] lanes, pairwise
+    /// tree, scalar tail. Overrides must keep the lanes and the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    fn f32_dot(&self, a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len(), "dot operands differ in length");
+        let mut acc = [0.0f32; F32_DOT_LANES];
+        let (a_chunks, b_chunks) = (a.chunks_exact(F32_DOT_LANES), b.chunks_exact(F32_DOT_LANES));
+        let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
+        for (ca, cb) in a_chunks.zip(b_chunks) {
+            for ((lane, &x), &y) in acc.iter_mut().zip(ca).zip(cb) {
+                *lane += x * y;
+            }
+        }
+        let mut width = F32_DOT_LANES / 2;
+        while width > 0 {
+            let (lo, hi) = acc.split_at_mut(width);
+            for (l, &h) in lo.iter_mut().zip(hi.iter()) {
+                *l += h;
+            }
+            width /= 2;
+        }
+        let mut sum = acc[0];
+        for (&x, &y) in a_tail.iter().zip(b_tail) {
+            sum += x * y;
+        }
+        sum
+    }
 
     /// int8 ReLU over quantized codes: `dst[i] = max(src[i], zp)`
     /// (`zp` encodes real `0.0`). Exact on every ISA.

@@ -19,7 +19,7 @@
 
 use std::arch::x86_64::*;
 
-use super::{Isa, Microkernel, F32_MR, F32_NR, I8_MR, I8_NR};
+use super::{Isa, Microkernel, F32_DOT_LANES, F32_MR, F32_NR, I8_MR, I8_NR};
 
 // ---------------------------------------------------------------- AVX2
 
@@ -63,6 +63,13 @@ impl Microkernel for Avx2Kernel {
     ) {
         // SAFETY: dispatch-gated on AVX2 (see f32_panel).
         unsafe { i8_panel_avx2(a_pairs, pc, b_panel, c, ldc, row0, rh, j0, jw) }
+    }
+
+    fn f32_dot(&self, a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len(), "dot operands differ in length");
+        // SAFETY: dispatch-gated on AVX2+FMA (see f32_panel); the loads
+        // stay inside the slices, whose equal length was just asserted.
+        unsafe { f32_dot_avx2(a, b) }
     }
 
     fn i8_relu(&self, src: &[i8], zp: i8, dst: &mut [i8]) {
@@ -113,6 +120,39 @@ unsafe fn f32_panel_avx2(
             }
         }
     }
+}
+
+/// The reference order of [`Microkernel::f32_dot`] with fused
+/// multiply-adds: accumulator `k` holds virtual lanes `8k..8k + 8`, and
+/// the reduction is the same pairwise tree (16, 8, 4, 2, 1 lanes apart).
+///
+/// # Safety
+///
+/// Requires AVX2 and FMA, and `a.len() == b.len()`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn f32_dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+    let n = a.len();
+    let (ap, bp) = (a.as_ptr(), b.as_ptr());
+    let mut acc = [_mm256_setzero_ps(); 4];
+    let mut i = 0;
+    while i + F32_DOT_LANES <= n {
+        for (k, slot) in acc.iter_mut().enumerate() {
+            let x = _mm256_loadu_ps(ap.add(i + 8 * k));
+            let y = _mm256_loadu_ps(bp.add(i + 8 * k));
+            *slot = _mm256_fmadd_ps(x, y, *slot);
+        }
+        i += F32_DOT_LANES;
+    }
+    let by16 = [_mm256_add_ps(acc[0], acc[2]), _mm256_add_ps(acc[1], acc[3])];
+    let by8 = _mm256_add_ps(by16[0], by16[1]);
+    let by4 = _mm_add_ps(_mm256_castps256_ps128(by8), _mm256_extractf128_ps(by8, 1));
+    let by2 = _mm_add_ps(by4, _mm_movehl_ps(by4, by4));
+    let by1 = _mm_add_ss(by2, _mm_shuffle_ps(by2, by2, 0b01));
+    let mut sum = _mm_cvtss_f32(by1);
+    for j in i..n {
+        sum = (*ap.add(j)).mul_add(*bp.add(j), sum);
+    }
+    sum
 }
 
 #[target_feature(enable = "avx2")]

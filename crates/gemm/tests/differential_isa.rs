@@ -10,7 +10,10 @@
 //!   mul-then-add rounding sequence with the same k-order;
 //! * **AVX2 f32 is ULP-close** — FMA skips the intermediate rounding,
 //!   so it is *more* accurate, not identical; we bound it against an
-//!   f64 reference.
+//!   f64 reference;
+//! * **`f32_dot` has one reference order** — scalar and SSE2 share the
+//!   trait's default body bit for bit, AVX2 keeps its lanes and tree
+//!   with FMAs, and every ISA meets the documented error bound.
 
 use pbqp_dnn_gemm::arch::{self, Isa};
 use pbqp_dnn_gemm::{Gemm, GemmKind, QuantGemm, Trans};
@@ -225,4 +228,43 @@ fn relu_and_minmax_match_scalar_on_every_isa() {
             assert_eq!(kernel.i8_minmax(&src), scalar.i8_minmax(&src), "minmax len={len}");
         }
     }
+}
+
+#[test]
+fn f32_dot_keeps_the_reference_order_on_every_isa() {
+    let scalar = arch::kernel_for(Isa::Scalar).unwrap();
+    let mut rng = Rng(0xD1FF_0007);
+    // Every chunk/tail split around the 32-lane width, plus AlexNet's
+    // fc6 row length.
+    for len in (0..=70).chain([9216]) {
+        let a = rng.f32s(len);
+        let b = rng.f32s(len);
+        let want = scalar.f32_dot(&a, &b);
+        let exact: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum();
+        let magnitude: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x * y).abs()).sum();
+        // The documented bound: (len/16 + 72)·ε·Σ|aᵢbᵢ| from the exact
+        // value, with ε = 2⁻²⁴.
+        let bound = (len as f64 / 16.0 + 72.0) * 2f64.powi(-24) * magnitude;
+        for kernel in arch::available_kernels() {
+            let got = kernel.f32_dot(&a, &b);
+            match kernel.isa() {
+                Isa::Scalar | Isa::Sse2 => {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} len={len}", kernel.isa())
+                }
+                Isa::Avx2 => {}
+            }
+            let err = (f64::from(got) - exact).abs();
+            assert!(
+                err <= bound,
+                "{} len={len}: |{got} - {exact}| = {err} > {bound}",
+                kernel.isa()
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "dot operands differ in length")]
+fn f32_dot_rejects_ragged_operands() {
+    arch::active().f32_dot(&[1.0, 2.0], &[1.0]);
 }

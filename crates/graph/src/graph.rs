@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::{ConvScenario, Layer, LayerKind};
+use crate::{pool_out_dim, ConvScenario, Layer, LayerKind};
 
 /// Identifier of a node in a [`DnnGraph`].
 ///
@@ -72,6 +72,18 @@ pub enum GraphError {
         /// Zero padding.
         pad: usize,
     },
+    /// A pool layer's window is larger than its padded input
+    /// (`k > h + 2·pad` on either axis), so it has no output.
+    PoolExceedsInput {
+        /// Offending node name.
+        node: String,
+        /// Window radix.
+        k: usize,
+        /// Zero padding.
+        pad: usize,
+        /// Shape the producer supplies.
+        found: (usize, usize, usize),
+    },
     /// Two layers share a name; names must be unique for reporting.
     DuplicateName(String),
 }
@@ -99,6 +111,13 @@ impl fmt::Display for GraphError {
                     "pool `{node}` has degenerate window parameters \
                      (k = {k}, stride = {stride}, pad = {pad}): \
                      k and stride must be >= 1 and pad < k"
+                )
+            }
+            GraphError::PoolExceedsInput { node, k, pad, found } => {
+                write!(
+                    f,
+                    "pool `{node}` has a {k}x{k} window (pad {pad}), \
+                     larger than its padded input {found:?}"
                 )
             }
             GraphError::DuplicateName(name) => write!(f, "duplicate layer name `{name}`"),
@@ -322,9 +341,15 @@ impl DnnGraph {
                         return Err(single(preds.len()));
                     }
                     let (c, h, w) = shapes[preds[0].0];
-                    // Caffe's ceil convention for pooling output dims.
-                    let oh = (h + 2 * pad - k).div_ceil(*stride) + 1;
-                    let ow = (w + 2 * pad - k).div_ceil(*stride) + 1;
+                    let out = |extent| pool_out_dim(extent, *k, *stride, *pad);
+                    let (Some(oh), Some(ow)) = (out(h), out(w)) else {
+                        return Err(GraphError::PoolExceedsInput {
+                            node: layer.name.clone(),
+                            k: *k,
+                            pad: *pad,
+                            found: (c, h, w),
+                        });
+                    };
                     (c, oh, ow)
                 }
                 LayerKind::Relu | LayerKind::Lrn | LayerKind::Dropout | LayerKind::Softmax => {
@@ -523,6 +548,30 @@ mod tests {
         ));
         g.connect(input, pool).unwrap();
         assert_eq!(g.infer_shapes().unwrap()[pool.index()], (96, 27, 27));
+    }
+
+    #[test]
+    fn pool_window_larger_than_its_input_is_a_typed_error() {
+        let mut g = DnnGraph::new();
+        let input = g.add(Layer::new("data", LayerKind::Input { c: 2, h: 5, w: 5 }));
+        let pool = g.add(Layer::new(
+            "big",
+            LayerKind::Pool { kind: PoolKind::Avg, k: 7, stride: 1, pad: 0 },
+        ));
+        g.connect(input, pool).unwrap();
+        assert_eq!(
+            g.infer_shapes().unwrap_err(),
+            GraphError::PoolExceedsInput { node: "big".into(), k: 7, pad: 0, found: (2, 5, 5) }
+        );
+        // Padding that makes the window fit is fine: 5 + 2·1 = 7.
+        let mut g = DnnGraph::new();
+        let input = g.add(Layer::new("data", LayerKind::Input { c: 2, h: 5, w: 5 }));
+        let pool = g.add(Layer::new(
+            "fits",
+            LayerKind::Pool { kind: PoolKind::Avg, k: 7, stride: 1, pad: 1 },
+        ));
+        g.connect(input, pool).unwrap();
+        assert_eq!(g.infer_shapes().unwrap()[pool.index()], (2, 1, 1));
     }
 
     #[test]

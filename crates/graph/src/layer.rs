@@ -11,6 +11,29 @@ pub enum PoolKind {
     Avg,
 }
 
+/// Output extent of a pooling layer along one spatial axis, by Caffe's
+/// ceil convention: `ceil((h + 2·pad − k) / stride) + 1`, so the last
+/// window may overhang the padded input. The one definition shape
+/// inference, the model builders, the pooling kernels and the profiler
+/// share.
+///
+/// Returns `None` when no window fits (`k > h + 2·pad`) or `stride == 0`.
+///
+/// # Example
+///
+/// ```
+/// use pbqp_dnn_graph::pool_out_dim;
+///
+/// assert_eq!(pool_out_dim(55, 3, 2, 0), Some(27)); // AlexNet pool1
+/// assert_eq!(pool_out_dim(5, 7, 1, 0), None);
+/// ```
+pub fn pool_out_dim(h: usize, k: usize, stride: usize, pad: usize) -> Option<usize> {
+    if stride == 0 {
+        return None;
+    }
+    Some((h + 2 * pad).checked_sub(k)?.div_ceil(stride) + 1)
+}
+
 /// The operator class of a non-convolution selection node.
 ///
 /// Every non-conv layer kind maps to exactly one class; the primitive

@@ -35,5 +35,5 @@ pub mod models;
 mod scenario;
 
 pub use graph::{DnnGraph, Fnv1a, GraphError, NodeId};
-pub use layer::{Layer, LayerKind, OpClass, PoolKind, SelectionClass};
+pub use layer::{pool_out_dim, Layer, LayerKind, OpClass, PoolKind, SelectionClass};
 pub use scenario::ConvScenario;

@@ -6,7 +6,7 @@
 //! paper benchmarks): AlexNet takes 3×227×227 input; VGG and GoogleNet
 //! take 3×224×224.
 
-use crate::{ConvScenario, DnnGraph, Layer, LayerKind, NodeId, PoolKind};
+use crate::{pool_out_dim, ConvScenario, DnnGraph, Layer, LayerKind, NodeId, PoolKind};
 
 /// VGG configuration letter (Simonyan & Zisserman, Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,8 +123,9 @@ impl<'g> Chain<'g> {
         self.g.connect(self.tip, id).expect("valid ids");
         self.tip = id;
         let (c, h, w) = self.shape;
-        self.shape =
-            (c, (h + 2 * pad - k).div_ceil(stride) + 1, (w + 2 * pad - k).div_ceil(stride) + 1);
+        let out =
+            |extent| pool_out_dim(extent, k, stride, pad).expect("zoo pools fit their inputs");
+        self.shape = (c, out(h), out(w));
     }
 
     fn fc(&mut self, name: &str, out: usize) {

@@ -27,6 +27,7 @@ use pbqp_dnn_graph::OpClass;
 use pbqp_dnn_tensor::{DType, Layout, QuantParams, Repr, Tensor};
 
 use crate::op::{check_op_args, OpDescriptor, OpInputs, OpKernel, OpSpec};
+use crate::ops::{for_each_channel_run, pool_out_dims, pool_windows, PoolReduce};
 use crate::{PrimitiveError, Workspace, WorkspaceReq};
 
 fn qdesc(class: OpClass, layout: Layout) -> OpDescriptor {
@@ -104,50 +105,31 @@ impl OpKernel for QuantPool {
         let input = inputs.at(0);
         let params = input.qparams();
         let zp = params.zero_point;
-        let (k, stride, pad) = spec.window;
-        let dims = input.dims();
-        let (c, h, w) = dims;
+        let (c, h, w) = input.dims();
         let layout = self.desc.output_layout;
-        let oh = (h + 2 * pad - k).div_ceil(stride) + 1;
-        let ow = (w + 2 * pad - k).div_ceil(stride) + 1;
-        let src = input.data_i8();
+        let (oh, ow) = pool_out_dims(h, w, spec.window)?;
         out.reuse_as_dtype(c, oh, ow, layout, DType::I8);
         out.set_qparams(params);
-        let out_dims = (c, oh, ow);
-        let data = out.data_i8_mut();
-        for ci in 0..c {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let mut best = i8::MIN;
-                    let mut sum = 0i32;
-                    let mut count = 0usize;
-                    for i in 0..k {
-                        for j in 0..k {
-                            let iy = (y * stride + i) as isize - pad as isize;
-                            let ix = (x * stride + j) as isize - pad as isize;
-                            if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                                continue;
-                            }
-                            let q = src[input.layout().offset(dims, ci, iy as usize, ix as usize)];
-                            best = best.max(q);
-                            sum += i32::from(q) - zp;
-                            count += 1;
-                        }
-                    }
-                    let q = if count == 0 {
-                        // Empty window is real 0.0, same as the f32 op.
-                        zp.clamp(-127, 127) as i8
-                    } else if self.avg {
-                        // One rounding of the exact code mean: at most
-                        // half a step from the real window mean.
-                        let mean = sum as f32 / count as f32;
-                        (mean.round() as i32 + zp).clamp(-127, 127) as i8
-                    } else {
-                        best
-                    };
-                    data[layout.offset(out_dims, ci, y, x)] = q;
-                }
-            }
+        let (src_s, out_s) = (layout.strides(input.dims()), layout.strides((c, oh, ow)));
+        let (src, dst) = (input.data_i8(), out.data_i8_mut());
+        // An empty window is real 0.0, same as the f32 op.
+        let empty = zp.clamp(-127, 127) as i8;
+        if self.avg {
+            let reduce = PoolReduce {
+                empty,
+                init: 0i32,
+                step: |sum, q| sum + i32::from(q) - zp,
+                // One rounding of the exact code mean: at most half a
+                // step from the real window mean.
+                finish: |sum, taps| {
+                    let mean = sum as f32 / taps as f32;
+                    (mean.round() as i32 + zp).clamp(-127, 127) as i8
+                },
+            };
+            pool_windows((src, &src_s), spec.window, (dst, &out_s), reduce);
+        } else {
+            let reduce = PoolReduce { empty, init: i8::MIN, step: i8::max, finish: |m, _| m };
+            pool_windows((src, &src_s), spec.window, (dst, &out_s), reduce);
         }
         Ok(())
     }
@@ -200,25 +182,19 @@ impl OpKernel for QuantConcat {
         let layout = self.desc.output_layout;
         out.reuse_as_dtype(c, oh, ow, layout, DType::I8);
         out.set_qparams(params);
-        let out_dims = (c, oh, ow);
-        let data = out.data_i8_mut();
+        let dst = out.data_i8_mut();
         let mut c_base = 0;
         for i in 0..inputs.len() {
             let t = inputs.at(i);
             let p = t.qparams();
-            let dims = t.dims();
-            let (tc, th, tw) = dims;
             let src = t.data_i8();
-            for ci in 0..tc {
-                for y in 0..th {
-                    for x in 0..tw {
-                        let q = src[t.layout().offset(dims, ci, y, x)];
-                        data[layout.offset(out_dims, c_base + ci, y, x)] =
-                            params.quantize(p.dequantize(q));
-                    }
+            let (tc, _, _) = t.dims();
+            for_each_channel_run(layout, (oh, ow), (tc, 0), (c, c_base), tc, |from, to, len| {
+                for (d, &q) in dst[to..to + len].iter_mut().zip(&src[from..from + len]) {
+                    *d = params.quantize(p.dequantize(q));
                 }
-            }
-            c_base += tc;
+            });
+            c_base += t.channels();
         }
         Ok(())
     }
@@ -304,7 +280,7 @@ pub(crate) fn all() -> Vec<Box<dyn OpKernel>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
+    use crate::reference;
     use pbqp_dnn_graph::{LayerKind, PoolKind};
     use pbqp_dnn_tensor::transform::{dequantize_into, quantize_dynamic_into};
 
@@ -329,7 +305,7 @@ mod tests {
                 QuantRelu::new(layout).execute(OpInputs::Slice(&operands), None, &spec).unwrap();
             let mut back = Tensor::empty();
             dequantize_into(&got, &mut back);
-            let want = ops::relu(&f, layout);
+            let want = reference::relu_reference(&f);
             assert_eq!(back.max_abs_diff(&want).unwrap(), 0.0, "{layout}");
         }
     }
@@ -349,7 +325,7 @@ mod tests {
                     .unwrap();
                 let mut back = Tensor::empty();
                 dequantize_into(&got, &mut back);
-                let want = ops::pool(&f, layout, kind, 3, 2, 1);
+                let want = reference::pool_reference(&f, kind, 3, 2, 1);
                 let diff = back.max_abs_diff(&want).unwrap();
                 let tol =
                     if class == OpClass::MaxPool { 0.0 } else { got.qparams().scale / 2.0 + 1e-6 };
@@ -370,7 +346,7 @@ mod tests {
                 QuantConcat::new(layout).execute(OpInputs::Slice(&operands), None, &spec).unwrap();
             let mut back = Tensor::empty();
             dequantize_into(&got, &mut back);
-            let want = ops::concat(&[&fa, &fb], layout);
+            let want = reference::concat_reference(&[&fa, &fb], layout);
             let diff = back.max_abs_diff(&want).unwrap();
             assert!(diff <= got.qparams().scale / 2.0 + 1e-6, "concat {layout}: {diff}");
 
@@ -382,7 +358,7 @@ mod tests {
                 QuantAdd::new(layout).execute(OpInputs::Slice(&operands), None, &spec).unwrap();
             let mut back = Tensor::empty();
             dequantize_into(&got, &mut back);
-            let want = ops::add(&[&fa, &fc_], layout);
+            let want = reference::add_reference(&[&fa, &fc_]);
             let diff = back.max_abs_diff(&want).unwrap();
             assert!(diff <= got.qparams().scale / 2.0 + 1e-6, "add {layout}: {diff}");
         }

@@ -1,11 +1,20 @@
-//! The sum-of-single-channels reference convolution (`SUM2D`).
+//! The sum-of-single-channels reference convolution (`SUM2D`) and the
+//! textbook oracles of the non-convolution operators.
 //!
-//! This is the paper's common baseline: the textbook loop nest with order
-//! `M × C × H × W × K × K`, summing one single-channel 2-D convolution per
-//! input channel. It doubles as the correctness oracle every other
-//! primitive is validated against.
+//! `SUM2D` is the paper's common baseline: the textbook loop nest with
+//! order `M × C × H × W × K × K`, summing one single-channel 2-D
+//! convolution per input channel. It doubles as the correctness oracle
+//! every other primitive is validated against.
+//!
+//! The `*_reference` operator functions are the same idea for ReLU,
+//! pooling, LRN, fully-connected, concat, add and softmax: loops over
+//! logical `(c, h, w)` coordinates through [`Tensor::at`] /
+//! [`Tensor::set`], slow by design and written once, so the strided
+//! kernels in [`crate::ops`] (and the int8 ones) are checked against an
+//! answer computed another way. `reference_forward` in the runtime crate
+//! is built from them.
 
-use pbqp_dnn_graph::ConvScenario;
+use pbqp_dnn_graph::{pool_out_dim, ConvScenario, PoolKind};
 use pbqp_dnn_tensor::{KernelTensor, Layout, Tensor};
 
 use crate::algorithm::check_args;
@@ -37,6 +46,163 @@ pub fn sum2d_reference(input: &Tensor, kernel: &KernelTensor, s: &ConvScenario) 
         }
     }
     out
+}
+
+/// Oracle ReLU, in the operand's layout.
+pub fn relu_reference(input: &Tensor) -> Tensor {
+    let (c, h, w) = input.dims();
+    Tensor::from_fn(c, h, w, input.layout(), |ci, y, x| input.at(ci, y, x).max(0.0))
+}
+
+/// Oracle max/average pooling with Caffe's ceil output convention, in
+/// the operand's layout. A window with no in-bounds tap yields `0.0`;
+/// the average divides by the in-bounds tap count.
+///
+/// # Panics
+///
+/// Panics if the window exceeds the padded input (no output exists).
+pub fn pool_reference(
+    input: &Tensor,
+    kind: PoolKind,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    let (c, h, w) = input.dims();
+    let oh = pool_out_dim(h, k, stride, pad).expect("pool window fits the padded input");
+    let ow = pool_out_dim(w, k, stride, pad).expect("pool window fits the padded input");
+    Tensor::from_fn(c, oh, ow, input.layout(), |ci, y, x| {
+        let mut best = f32::NEG_INFINITY;
+        let mut sum = 0.0f32;
+        let mut count = 0usize;
+        for i in 0..k {
+            for j in 0..k {
+                let iy = (y * stride + i) as isize - pad as isize;
+                let ix = (x * stride + j) as isize - pad as isize;
+                if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+                    continue;
+                }
+                let v = input.at(ci, iy as usize, ix as usize);
+                best = best.max(v);
+                sum += v;
+                count += 1;
+            }
+        }
+        match (count, kind) {
+            (0, _) => 0.0,
+            (_, PoolKind::Max) => best,
+            (_, PoolKind::Avg) => sum / count as f32,
+        }
+    })
+}
+
+/// Oracle local response normalization across channels (AlexNet /
+/// GoogleNet parameters: size 5, α = 1e-4, β = 0.75, k = 1), in the
+/// operand's layout.
+pub fn lrn_reference(input: &Tensor) -> Tensor {
+    const SIZE: usize = 5;
+    const ALPHA: f32 = 1e-4;
+    const BETA: f32 = 0.75;
+    const K: f32 = 1.0;
+    let (c, h, w) = input.dims();
+    let half = SIZE / 2;
+    Tensor::from_fn(c, h, w, input.layout(), |ci, y, x| {
+        let lo = ci.saturating_sub(half);
+        let hi = (ci + half).min(c - 1);
+        let mut energy = 0.0f32;
+        for cj in lo..=hi {
+            let v = input.at(cj, y, x);
+            energy += v * v;
+        }
+        input.at(ci, y, x) / (K + ALPHA / SIZE as f32 * energy).powf(BETA)
+    })
+}
+
+/// Oracle fully-connected layer: flattens logically in `(c, h, w)` order
+/// and multiplies by the row-major `out × (c·h·w)` weight matrix with one
+/// sequential accumulator per row, producing `out × 1 × 1` in `layout`.
+pub fn fully_connected_reference(
+    input: &Tensor,
+    weights: &[f32],
+    out_n: usize,
+    layout: Layout,
+) -> Tensor {
+    let (c, h, w) = input.dims();
+    let in_len = c * h * w;
+    assert_eq!(weights.len(), out_n * in_len, "weight matrix is not out x (c*h*w)");
+    Tensor::from_fn(out_n, 1, 1, layout, |o, _, _| {
+        let row = &weights[o * in_len..(o + 1) * in_len];
+        let mut acc = 0.0f32;
+        let mut ix = 0;
+        for ci in 0..c {
+            for y in 0..h {
+                for x in 0..w {
+                    acc += input.at(ci, y, x) * row[ix];
+                    ix += 1;
+                }
+            }
+        }
+        acc
+    })
+}
+
+/// Oracle channel concatenation of same-spatial-size tensors (each in any
+/// layout), produced in `layout`.
+pub fn concat_reference(inputs: &[&Tensor], layout: Layout) -> Tensor {
+    let (_, h, w) = inputs[0].dims();
+    let c_total: usize = inputs.iter().map(|t| t.channels()).sum();
+    let mut out = Tensor::zeros(c_total, h, w, layout);
+    let mut c_base = 0;
+    for t in inputs {
+        assert_eq!((t.height(), t.width()), (h, w), "concat inputs must agree spatially");
+        for ci in 0..t.channels() {
+            for y in 0..h {
+                for x in 0..w {
+                    out.set(c_base + ci, y, x, t.at(ci, y, x));
+                }
+            }
+        }
+        c_base += t.channels();
+    }
+    out
+}
+
+/// Oracle elementwise sum of same-shape tensors (the residual merge), in
+/// the first operand's layout, accumulated in operand order.
+pub fn add_reference(inputs: &[&Tensor]) -> Tensor {
+    let (c, h, w) = inputs[0].dims();
+    Tensor::from_fn(c, h, w, inputs[0].layout(), |ci, y, x| {
+        let mut acc = inputs[0].at(ci, y, x);
+        for t in &inputs[1..] {
+            acc += t.at(ci, y, x);
+        }
+        acc
+    })
+}
+
+/// Oracle numerically-stable softmax over the flattened tensor (summed in
+/// logical `(c, h, w)` order), in the operand's layout.
+pub fn softmax_reference(input: &Tensor) -> Tensor {
+    let (c, h, w) = input.dims();
+    let mut max = f32::NEG_INFINITY;
+    let mut total = 0.0f32;
+    // Two passes over the logical elements: the maximum, then the
+    // normaliser.
+    for normaliser in [false, true] {
+        for ci in 0..c {
+            for y in 0..h {
+                for x in 0..w {
+                    let v = input.at(ci, y, x);
+                    if normaliser {
+                        total += (v - max).exp();
+                    } else {
+                        max = max.max(v);
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_fn(c, h, w, input.layout(), |ci, y, x| (input.at(ci, y, x) - max).exp() / total)
 }
 
 /// The `SUM2D` primitive: `{CHW, sum2d, CHW}`.

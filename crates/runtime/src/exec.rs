@@ -5,11 +5,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use pbqp_dnn_graph::{ConvScenario, DnnGraph, GraphError, LayerKind, NodeId};
-use pbqp_dnn_primitives::registry::Registry;
-use pbqp_dnn_primitives::{
-    ops, reference::sum2d_reference, ConvAlgorithm, OpInputs, OpKernel, OpSpec, PrimitiveError,
-    Workspace,
+use pbqp_dnn_primitives::reference::{
+    add_reference, concat_reference, fully_connected_reference, lrn_reference, pool_reference,
+    relu_reference, softmax_reference, sum2d_reference,
 };
+use pbqp_dnn_primitives::registry::Registry;
+use pbqp_dnn_primitives::{ConvAlgorithm, OpInputs, OpKernel, OpSpec, PrimitiveError, Workspace};
 use pbqp_dnn_select::{AssignmentKind, ExecutionPlan};
 use pbqp_dnn_tensor::transform::{apply_repr_into, to_layout_into, ReprTransform};
 use pbqp_dnn_tensor::{DType, KernelTensor, Layout, Repr, Tensor, TensorError};
@@ -36,6 +37,17 @@ pub enum RuntimeError {
     UnknownPrimitive(String),
     /// A parameterized layer has no weights.
     MissingWeights(String),
+    /// A fully-connected layer's weight matrix is not `out · c·h·w` long
+    /// for the shape the graph infers (e.g. weights from a bad artifact or
+    /// another graph).
+    WeightShape {
+        /// The layer whose weights disagree with its shape.
+        layer: String,
+        /// Elements the layer's shape requires.
+        expected: usize,
+        /// Elements the weight matrix holds.
+        found: usize,
+    },
     /// The supplied network input has the wrong shape or layout.
     BadInput(String),
     /// The plan's assignment kinds disagree with the graph's layer kinds
@@ -92,6 +104,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Tensor(e) => write!(f, "tensor error: {e}"),
             RuntimeError::UnknownPrimitive(n) => write!(f, "unknown primitive `{n}`"),
             RuntimeError::MissingWeights(n) => write!(f, "missing weights for layer `{n}`"),
+            RuntimeError::WeightShape { layer, expected, found } => write!(
+                f,
+                "weights of layer `{layer}` have {found} elements, its shape needs {expected}"
+            ),
             RuntimeError::BadInput(d) => write!(f, "bad network input: {d}"),
             RuntimeError::PlanMismatch(d) => write!(f, "plan does not fit graph: {d}"),
             RuntimeError::KernelPanicked { node, kernel, message } => {
@@ -489,11 +505,20 @@ impl Schedule {
                             ))
                         })?;
                     let fc_weights = if let LayerKind::FullyConnected { .. } = kind {
-                        Some(
-                            weights
-                                .fc_matrix_shared(node)
-                                .ok_or_else(|| RuntimeError::MissingWeights(layer.name.clone()))?,
-                        )
+                        let matrix = weights
+                            .fc_matrix_shared(node)
+                            .ok_or_else(|| RuntimeError::MissingWeights(layer.name.clone()))?;
+                        // A short matrix would otherwise surface as a
+                        // kernel error on every request.
+                        let expected = spec.out_elems() * spec.in_elems();
+                        if matrix.len() != expected {
+                            return Err(RuntimeError::WeightShape {
+                                layer: layer.name.clone(),
+                                expected,
+                                found: matrix.len(),
+                            });
+                        }
+                        Some(matrix)
                     } else {
                         None
                     };
@@ -1522,7 +1547,9 @@ fn apply_hop(src: &Tensor, hop: ReprTransform, dst: &mut Tensor) -> Result<(), R
 }
 
 /// Independent oracle: executes the network with the textbook reference
-/// convolution and canonical CHW layout throughout. Any plan's output must
+/// convolution and the textbook operator loops of
+/// [`pbqp_dnn_primitives::reference`], canonical CHW layout throughout —
+/// no code shared with the kernels a plan selects. Any plan's output must
 /// match this within floating-point tolerance.
 pub fn reference_forward(graph: &DnnGraph, weights: &Weights, input: &Tensor) -> Tensor {
     let order = graph.topo_order().expect("valid graph");
@@ -1542,19 +1569,19 @@ pub fn reference_forward(graph: &DnnGraph, weights: &Weights, input: &Tensor) ->
                 let k = weights.conv_kernel(node).expect("weights cover conv layers");
                 sum2d_reference(inputs[0], k, s)
             }
-            LayerKind::Relu => ops::relu(inputs[0], inputs[0].layout()),
+            LayerKind::Relu => relu_reference(inputs[0]),
             LayerKind::Pool { kind, k, stride, pad } => {
-                ops::pool(inputs[0], inputs[0].layout(), *kind, *k, *stride, *pad)
+                pool_reference(inputs[0], *kind, *k, *stride, *pad)
             }
-            LayerKind::Lrn => ops::lrn(inputs[0], inputs[0].layout()),
+            LayerKind::Lrn => lrn_reference(inputs[0]),
             LayerKind::Dropout => inputs[0].clone(),
             LayerKind::FullyConnected { out } => {
                 let w = weights.fc_matrix(node).expect("weights cover fc layers");
-                ops::fully_connected(inputs[0], w, *out, Layout::Chw)
+                fully_connected_reference(inputs[0], w, *out, Layout::Chw)
             }
-            LayerKind::Concat => ops::concat(&inputs, Layout::Chw),
-            LayerKind::Add => ops::add(&inputs, inputs[0].layout()),
-            LayerKind::Softmax => ops::softmax(inputs[0], inputs[0].layout()),
+            LayerKind::Concat => concat_reference(&inputs, Layout::Chw),
+            LayerKind::Add => add_reference(&inputs),
+            LayerKind::Softmax => softmax_reference(inputs[0]),
         };
         drop(inputs);
         values[node.index()] = Some(out);
@@ -1903,6 +1930,33 @@ mod tests {
             .run_batch(&[bad], Parallelism::serial())
             .unwrap_err();
         assert!(matches!(err, RuntimeError::BadInput(_)));
+    }
+
+    #[test]
+    fn short_fc_weight_matrix_is_rejected_at_compile() {
+        // Same node ids, but `small`'s fc sees 4x5x5 where `net`'s sees
+        // 4x6x6: its matrix is 44 rows' worth short for `net`.
+        let fc_net = |h: usize| {
+            let mut g = DnnGraph::new();
+            let data = g.add(Layer::new("data", LayerKind::Input { c: 4, h, w: h }));
+            let fc = g.add(Layer::new("fc", LayerKind::FullyConnected { out: 5 }));
+            g.connect(data, fc).unwrap();
+            g
+        };
+        let (net, small) = (fc_net(6), fc_net(5));
+        let reg = Registry::new(full_library());
+        let cost = AnalyticCost::new(MachineModel::intel_haswell_like(), 1);
+        let plan = Optimizer::new(&reg, &cost).plan(&net, Strategy::Pbqp).unwrap();
+        assert!(Schedule::compile(&net, &plan, &reg, &Weights::random(&net, 1)).is_ok());
+        let err = Schedule::compile(&net, &plan, &reg, &Weights::random(&small, 1))
+            .err()
+            .expect("a short matrix must not compile");
+        match err {
+            RuntimeError::WeightShape { layer, expected, found } => {
+                assert_eq!((layer.as_str(), expected, found), ("fc", 5 * 144, 5 * 100));
+            }
+            other => panic!("expected WeightShape, got {other}"),
+        }
     }
 
     #[test]

@@ -123,6 +123,25 @@ impl Layout {
         }
     }
 
+    /// The strides of a `dims` tensor stored in this layout — the one
+    /// affine form all eight layouts share (see [`Strides`]). Kernels hoist
+    /// this out of their loops instead of calling [`Layout::offset`] (a
+    /// `match` on the layout) per element.
+    pub fn strides(self, dims: (usize, usize, usize)) -> Strides {
+        let (c, h, w) = dims;
+        let block = self.channel_block();
+        let (cb, sh, sw) = match self {
+            Layout::Chw => (h * w, w, 1),
+            Layout::Cwh => (h * w, 1, h),
+            Layout::Hcw => (w, c * w, 1),
+            Layout::Hwc => (1, w * c, c),
+            Layout::Wch => (h, 1, c * h),
+            Layout::Whc => (1, c, h * c),
+            Layout::Chw4 | Layout::Chw8 => (h * w * block, w * block, block),
+        };
+        Strides { dims, block, cb, h: sh, w: sw }
+    }
+
     /// Short human-readable name, e.g. `"CHW"` or `"CHWc8"`.
     pub fn name(self) -> &'static str {
         match self {
@@ -134,6 +153,108 @@ impl Layout {
             Layout::Whc => "WHC",
             Layout::Chw4 => "CHWc4",
             Layout::Chw8 => "CHWc8",
+        }
+    }
+}
+
+/// How a `(c, h, w)` tensor is addressed in one [`Layout`]: logical
+/// element `(c, h, w)` lives at
+/// `(c / block)·cb + c % block + h·self.h + w·self.w`.
+///
+/// The permutation layouts have `block == 1`, so the form is plain
+/// strided addressing; the channel-blocked layouts interleave `block`
+/// channels innermost. Built by [`Layout::strides`].
+///
+/// # Example
+///
+/// ```
+/// use pbqp_dnn_tensor::Layout;
+///
+/// let dims = (5, 3, 4);
+/// let s = Layout::Chw4.strides(dims);
+/// assert_eq!(s.offset(2, 1, 3), Layout::Chw4.offset(dims, 2, 1, 3));
+/// // Storage order skips the padding lanes of the last channel block.
+/// let mut seen = Vec::new();
+/// s.for_each(|off, _, _, _| seen.push(off));
+/// assert_eq!(seen.len(), 5 * 3 * 4);
+/// assert!(seen.windows(2).all(|p| p[0] < p[1]));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Strides {
+    /// The logical dimensions the strides were derived for.
+    pub dims: (usize, usize, usize),
+    /// Channel-block width `B` (a power of two: 1, 4 or 8).
+    pub block: usize,
+    /// Stride of one channel block (`c / B`).
+    pub cb: usize,
+    /// Stride of one row.
+    pub h: usize,
+    /// Stride of one column.
+    pub w: usize,
+}
+
+impl Strides {
+    /// Offset of channel `c` at spatial position `(0, 0)`.
+    #[inline]
+    pub fn channel(&self, c: usize) -> usize {
+        // `block` is a power of two, so this is `c / block` and
+        // `c % block` without a hardware divide.
+        debug_assert!(self.block.is_power_of_two());
+        (c >> self.block.trailing_zeros()) * self.cb + (c & (self.block - 1))
+    }
+
+    /// Linear offset of logical element `(c, h, w)`; equals
+    /// [`Layout::offset`] for the layout and dims the strides came from.
+    #[inline]
+    pub fn offset(&self, c: usize, h: usize, w: usize) -> usize {
+        self.channel(c) + h * self.h + w * self.w
+    }
+
+    /// Whether storage order is the logical `(c, h, w)` order, i.e.
+    /// `offset(c, h, w) == (c·H + h)·W + w` for every element: always for
+    /// [`Layout::Chw`], and for any layout once the other axes have
+    /// extent 1 (an `N×1×1` vector is contiguous in every layout).
+    pub fn is_chw_order(&self) -> bool {
+        let (c, h, w) = self.dims;
+        let plane = h * w;
+        (w <= 1 || self.w == 1)
+            && (h <= 1 || self.h == w)
+            && (c <= 1 || if self.block == 1 { self.cb == plane } else { plane == 1 })
+    }
+
+    /// The three strided axes in storage order, outermost (largest
+    /// stride) first, each as `(extent, stride, id)` with id 0 for the
+    /// channel blocks (`c / block`), 1 for rows and 2 for columns. The
+    /// channel lanes of a blocked layout sit inside the last axis. Equal
+    /// strides only occur next to an axis of extent 1, where the order is
+    /// moot.
+    pub fn axes(&self) -> [(usize, usize, usize); 3] {
+        let (c, h, w) = self.dims;
+        let mut axes = [(c.div_ceil(self.block), self.cb, 0), (h, self.h, 1), (w, self.w, 2)];
+        axes.sort_by_key(|&(_, stride, _)| std::cmp::Reverse(stride));
+        axes
+    }
+
+    /// Calls `f(offset, c, h, w)` for every logical element in increasing
+    /// storage-offset order (padding lanes of blocked layouts are
+    /// skipped), so a kernel can produce its output front to back
+    /// whatever the layout.
+    pub fn for_each(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
+        let [(n0, s0, a0), (n1, s1, a1), (n2, s2, a2)] = self.axes();
+        let mut idx = [0usize; 3];
+        for i0 in 0..n0 {
+            idx[a0] = i0;
+            for i1 in 0..n1 {
+                idx[a1] = i1;
+                for i2 in 0..n2 {
+                    idx[a2] = i2;
+                    let base = i0 * s0 + i1 * s1 + i2 * s2;
+                    let c0 = idx[0] * self.block;
+                    for lane in 0..self.block.min(self.dims.0 - c0) {
+                        f(base + lane, c0 + lane, idx[1], idx[2]);
+                    }
+                }
+            }
         }
     }
 }
@@ -185,6 +306,26 @@ mod tests {
                 }
             }
             assert_eq!(seen.len(), dims.0 * dims.1 * dims.2);
+        }
+    }
+
+    #[test]
+    fn strides_agree_with_offset_and_visit_in_storage_order() {
+        for dims in [(5, 3, 4), (8, 1, 1), (3, 1, 6), (1, 4, 2), (9, 2, 1), (2, 2, 2), (1, 1, 5)] {
+            for &layout in &Layout::ALL {
+                let s = layout.strides(dims);
+                let mut visited = Vec::new();
+                let mut chw_order = true;
+                s.for_each(|off, c, h, w| {
+                    assert_eq!(off, layout.offset(dims, c, h, w), "{layout} {dims:?}");
+                    assert_eq!(off, s.offset(c, h, w), "{layout} {dims:?}");
+                    chw_order &= off == (c * dims.1 + h) * dims.2 + w;
+                    visited.push(off);
+                });
+                assert_eq!(visited.len(), dims.0 * dims.1 * dims.2, "{layout} {dims:?}");
+                assert!(visited.windows(2).all(|p| p[0] < p[1]), "{layout} {dims:?}: {visited:?}");
+                assert_eq!(s.is_chw_order(), chw_order, "{layout} {dims:?}");
+            }
         }
     }
 

@@ -46,5 +46,5 @@ pub mod wire;
 pub use dtype::{DType, QuantParams, Repr};
 pub use error::TensorError;
 pub use kernel::{KernelTensor, QuantizedKernel};
-pub use layout::Layout;
+pub use layout::{Layout, Strides};
 pub use tensor::Tensor;

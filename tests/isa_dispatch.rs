@@ -96,6 +96,41 @@ fn every_forced_isa_serves_the_mixed_network_and_low_tiers_match_scalar_exactly(
 }
 
 #[test]
+fn every_forced_isa_serves_fc_lrn_and_pools() {
+    // micro-AlexNet runs every dispatched or ISA-sensitive op body: the
+    // fully-connected GEMV (`f32_dot`), LRN (sqrt-based power), max pool,
+    // relu and softmax, behind f32 convolutions.
+    let net = models::micro_alexnet();
+    let mut rng = SplitMix64::new(0xFC_15A);
+    let weights = Weights::random(&net, rng.next_u64());
+    let options = CompileOptions::new().machine(MachineModel::intel_haswell_like());
+    let model = Compiler::new(options).compile(&net, &weights).expect("compiles");
+    let (c, h, w) = net.infer_shapes().unwrap()[0];
+    let inputs: Vec<Tensor> =
+        (0..3).map(|_| Tensor::random(c, h, w, Layout::Chw, rng.next_u64())).collect();
+    let oracle: Vec<Tensor> =
+        inputs.iter().map(|input| reference_forward(&net, &weights, input)).collect();
+
+    let scalar_outs = {
+        let _force = ForcedIsa::new(Isa::Scalar);
+        serve(&model, &inputs)
+    };
+    for isa in isas() {
+        let _force = ForcedIsa::new(isa);
+        let outs = serve(&model, &inputs);
+        for (i, got) in outs.iter().enumerate() {
+            // SSE2 inherits scalar's f32 summation orders exactly; AVX2
+            // differs by FMA rounding only.
+            if isa != Isa::Avx2 {
+                assert_eq!(got.data(), scalar_outs[i].data(), "{isa} input {i} != scalar");
+            }
+            let diff = got.max_abs_diff(&oracle[i]).unwrap();
+            assert!(diff <= 1e-4, "{isa} input {i}: {diff} from the oracle");
+        }
+    }
+}
+
+#[test]
 fn serial_wavefront_and_session_agree_bit_for_bit_under_every_forced_isa() {
     use pbqp_dnn::cost::AnalyticCost;
     use pbqp_dnn::primitives::registry::{mixed_precision_library, Registry};

@@ -166,10 +166,10 @@ fn quantize_dequantize_round_trip_properties() {
 /// repeated execution out of a dirty reused workspace is bit-identical.
 #[test]
 fn int8_op_kernels_match_f32_reference_within_quant_bound() {
-    use pbqp_dnn_graph::PoolKind;
+    use pbqp_dnn_graph::{pool_out_dim, PoolKind};
     use pbqp_dnn_primitives::registry::Registry;
     use pbqp_dnn_primitives::{
-        ops, registry::mixed_precision_library, OpInputs, OpSpec, Workspace,
+        reference, registry::mixed_precision_library, OpInputs, OpSpec, Workspace,
     };
     use pbqp_dnn_tensor::transform::{dequantize_into, quantize_dynamic_into};
     use pbqp_dnn_tensor::{DType, Repr};
@@ -207,7 +207,7 @@ fn int8_op_kernels_match_f32_reference_within_quant_bound() {
             let got = kernel.execute(OpInputs::Slice(&operands), None, &spec).unwrap();
             let mut back = Tensor::empty();
             dequantize_into(&got, &mut back);
-            let want = ops::relu(&fa, layout);
+            let want = reference::relu_reference(&fa);
             assert_eq!(back.max_abs_diff(&want).unwrap(), 0.0, "case {case} relu {layout}");
         }
 
@@ -217,8 +217,8 @@ fn int8_op_kernels_match_f32_reference_within_quant_bound() {
             let stride = rng.usize(1, 3);
             let pad = rng.usize(0, k);
             let layer = LayerKind::Pool { kind, k, stride, pad };
-            let oh = (h + 2 * pad - k).div_ceil(stride) + 1;
-            let ow = (w + 2 * pad - k).div_ceil(stride) + 1;
+            let oh = pool_out_dim(h, k, stride, pad).expect("k <= 3 < h");
+            let ow = pool_out_dim(w, k, stride, pad).expect("k <= 3 < w");
             let spec = OpSpec::for_layer(&layer, vec![(c, h, w)], (c, oh, ow)).unwrap();
             let kernel = reg
                 .op_by_name(&format!("qint8_{name}_{}", layout.name().to_ascii_lowercase()))
@@ -227,7 +227,7 @@ fn int8_op_kernels_match_f32_reference_within_quant_bound() {
             let got = kernel.execute(OpInputs::Slice(&operands), None, &spec).unwrap();
             let mut back = Tensor::empty();
             dequantize_into(&got, &mut back);
-            let want = ops::pool(&fa, layout, kind, k, stride, pad);
+            let want = reference::pool_reference(&fa, kind, k, stride, pad);
             let diff = back.max_abs_diff(&want).unwrap();
             let bound = match kind {
                 PoolKind::Max => 0.0,
@@ -248,7 +248,7 @@ fn int8_op_kernels_match_f32_reference_within_quant_bound() {
             let got = kernel.execute(OpInputs::Slice(&operands), None, &spec).unwrap();
             let mut back = Tensor::empty();
             dequantize_into(&got, &mut back);
-            let want = ops::add(&[&fa, &fb], layout);
+            let want = reference::add_reference(&[&fa, &fb]);
             let diff = back.max_abs_diff(&want).unwrap();
             let bound = got.qparams().scale / 2.0 + got.qparams().scale * 1e-4;
             assert!(diff <= bound, "case {case} add {layout}: {diff} > {bound}");

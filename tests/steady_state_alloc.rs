@@ -17,11 +17,14 @@ use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pbqp_dnn::cost::{AnalyticCost, MachineModel};
+use pbqp_dnn::cost::{AnalyticCost, CostSource, MachineModel};
 use pbqp_dnn::graph::models::{micro_alexnet, micro_mixed, micro_resnet};
+use pbqp_dnn::graph::{ConvScenario, LayerKind, OpClass};
 use pbqp_dnn::primitives::registry::{full_library, mixed_precision_library, Registry};
+use pbqp_dnn::primitives::{ConvAlgorithm, OpKernel, OpSpec};
 use pbqp_dnn::runtime::{Executor, Parallelism, Weights};
-use pbqp_dnn::select::{Optimizer, Strategy};
+use pbqp_dnn::select::{AssignmentKind, Optimizer, Strategy};
+use pbqp_dnn::tensor::transform::ReprTransform;
 use pbqp_dnn::tensor::{Layout, Tensor};
 
 /// Counts every allocation and reallocation performed by threads that
@@ -144,6 +147,59 @@ fn steady_state_serving_performs_zero_heap_allocations() {
         );
         assert_eq!(fresh.data(), expected.data());
     }
+
+    // Op-kernel scratch: an FC whose operand arrives in HWC gathers it
+    // into logical order, and LRN stages its squares — both carved from
+    // the schedule's workspace, never the heap. The cost source steers
+    // the (free-to-choose) FC and LRN nodes onto those layouts.
+    struct Steered(AnalyticCost);
+    impl CostSource for Steered {
+        fn layer_cost(&self, prim: &dyn ConvAlgorithm, s: &ConvScenario) -> f64 {
+            self.0.layer_cost(prim, s)
+        }
+        fn op_cost(&self, kernel: &dyn OpKernel, spec: &OpSpec) -> f64 {
+            let d = kernel.descriptor();
+            let wanted = match d.class {
+                OpClass::FullyConnected => d.input_layout == Layout::Hwc,
+                OpClass::Lrn => d.input_layout == Layout::Chw8,
+                _ => true,
+            };
+            self.0.op_cost(kernel, spec) + if wanted { 0.0 } else { 1e9 }
+        }
+        fn transform_cost(&self, t: ReprTransform, dims: (usize, usize, usize)) -> f64 {
+            self.0.transform_cost(t, dims)
+        }
+    }
+    let steered = Steered(AnalyticCost::new(MachineModel::intel_haswell_like(), 1));
+    let plan = Optimizer::new(&reg, &steered).plan(&net, Strategy::Pbqp).expect("plans");
+    let kernel_of = |name: &str| match &plan.assignment(net.find(name).unwrap()) {
+        AssignmentKind::Op { kernel, .. } => kernel.clone(),
+        other => panic!("{name}: {other:?}"),
+    };
+    assert_eq!((kernel_of("fc").as_str(), kernel_of("norm1").as_str()), ("fc_hwc", "lrn_chwc8"));
+    let fc = reg.op_by_name("fc_hwc").unwrap();
+    let fc_spec =
+        OpSpec::for_layer(&LayerKind::FullyConnected { out: 10 }, vec![(16, 6, 6)], (10, 1, 1))
+            .unwrap();
+    assert_eq!(
+        fc.workspace_req(&fc_spec).f32_elems,
+        16 * 6 * 6,
+        "precondition: the HWC operand is gathered through workspace scratch"
+    );
+    let exec = Executor::new(&net, &plan, &reg, &weights);
+    let mut out = Tensor::empty();
+    let expected = exec.run(&input, 1).expect("warmup run");
+    exec.run_into(&input, &mut out, 1).expect("warmup run_into");
+    let before = allocs();
+    for _ in 0..5 {
+        exec.run_into(&input, &mut out, 1).expect("steady run_into");
+    }
+    let run_allocs = allocs() - before;
+    assert_eq!(
+        run_allocs, 0,
+        "HWC fc / CHWc8 lrn plan: {run_allocs} allocations across 5 steady-state run_into calls"
+    );
+    assert_eq!(out.data(), expected.data());
 
     // Mixed precision: the int8 path (quantize edge → int8 conv with
     // dynamic requantization → dequantize edge) must uphold the same
