@@ -1,5 +1,5 @@
-//! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation (§5). Each artifact has a dedicated binary:
+//! Regenerates every table and figure of the paper's evaluation (§5).
+//! Each artifact has a dedicated binary:
 //!
 //! | artifact | binary | contents |
 //! |---|---|---|
@@ -20,8 +20,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod harness;
 
 use pbqp_dnn_cost::{AnalyticCost, MachineModel};
 use pbqp_dnn_graph::DnnGraph;

@@ -94,6 +94,13 @@ fn unbatched_tier_serves_every_request_alone() {
     let stats = gateway.stats(fp).expect("registered");
     assert_eq!(stats.batches, 5);
     assert_eq!(stats.flushed_by_size, 5, "max_batch=1 flushes by size on every submit");
+
+    // Resetting separates a warmup phase from a measured one.
+    assert!(gateway.reset_stats(fp), "the model is registered");
+    assert!(!gateway.reset_stats(fp ^ 1), "an unknown fingerprint has no stats");
+    gateway.infer(fp, input_for(&net, 205)).expect("serves");
+    let stats = gateway.stats(fp).expect("registered");
+    assert_eq!((stats.admitted, stats.served, stats.batches, stats.rejected), (1, 1, 1, 0));
 }
 
 #[test]

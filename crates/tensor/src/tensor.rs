@@ -457,20 +457,6 @@ impl Tensor {
         Ok(self.max_abs_diff(other)? <= tol)
     }
 
-    /// Sum of all logical elements (useful as a cheap checksum in tests).
-    pub fn checksum(&self) -> f64 {
-        let (c, h, w) = self.dims;
-        let mut acc = 0.0f64;
-        for ci in 0..c {
-            for hi in 0..h {
-                for wi in 0..w {
-                    acc += f64::from(self.at(ci, hi, wi));
-                }
-            }
-        }
-        acc
-    }
-
     /// Backing-store capacity in elements of the current dtype (test and
     /// pool-sizing aid).
     pub fn storage_capacity(&self) -> usize {
@@ -502,7 +488,6 @@ mod tests {
         for &layout in &Layout::ALL {
             let t = Tensor::zeros(5, 3, 2, layout);
             assert!(t.data().iter().all(|&x| x == 0.0));
-            assert_eq!(t.checksum(), 0.0);
         }
     }
 

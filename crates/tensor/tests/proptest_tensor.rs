@@ -58,15 +58,15 @@ fn direct_transforms_match_generic_copy() {
     }
 }
 
-/// Checksums are layout-invariant.
+/// Relayout preserves every logical element exactly.
 #[test]
-fn checksum_is_layout_invariant() {
+fn relayout_preserves_every_element_exactly() {
     let mut rng = SplitMix64::new(4);
     for _ in 0..64 {
         let (c, h, w) = (rng.usize(1, 8), rng.usize(1, 8), rng.usize(1, 8));
         let (a, b) = (layout(&mut rng), layout(&mut rng));
         let t = Tensor::random(c, h, w, a, rng.next_u64());
         let u = t.to_layout(b);
-        assert!((t.checksum() - u.checksum()).abs() < 1e-3);
+        assert_eq!(t.max_abs_diff(&u).unwrap(), 0.0);
     }
 }

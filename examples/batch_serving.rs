@@ -84,7 +84,8 @@ fn main() -> Result<(), Error> {
 
     // 4. The stats ledger says how much coalescing actually happened:
     //    the batch-size histogram, flush-cause split and exact latency
-    //    percentiles — the same numbers BENCH_PR8 reports.
+    //    percentiles — the ledger pbqp-bench's traced `gateway_open_loop`
+    //    run reads for `gateway.mean_batch` and `gateway.flush_by_size_share`.
     let stats = gateway.stats(fp).expect("registered");
     println!(
         "batches {} (by size {}, by deadline {}), mean batch {:.2}, \

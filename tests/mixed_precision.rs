@@ -6,11 +6,26 @@
 //! never predicted slower than the f32-only optimum.
 
 use pbqp_dnn::cost::{AnalyticCost, MachineModel};
-use pbqp_dnn::graph::models;
+use pbqp_dnn::graph::{models, DnnGraph};
 use pbqp_dnn::primitives::registry::{full_library, mixed_precision_library, op_library, Registry};
-use pbqp_dnn::select::{AssignmentKind, Optimizer, Strategy};
+use pbqp_dnn::select::{AssignmentKind, ExecutionPlan, Optimizer, Strategy};
 use pbqp_dnn::tensor::transform::ReprTransform;
 use pbqp_dnn::tensor::DType;
+
+/// Activation bytes crossing layer boundaries under a plan: every graph
+/// edge moves the producer's output once, in the producer's output
+/// representation (int8 = 1 byte per element, f32 = 4).
+fn activation_bytes(net: &DnnGraph, plan: &ExecutionPlan) -> usize {
+    let shapes = net.infer_shapes().expect("valid model");
+    plan.edges
+        .iter()
+        .map(|e| {
+            let (c, h, w) = shapes[e.from.index()];
+            let repr = plan.assignment(e.from).output_repr();
+            repr.layout.storage_len(c, h, w) * repr.dtype.bytes()
+        })
+        .sum()
+}
 
 /// The acceptance demo of first-class operator selection: with int8 op
 /// kernels in the candidate sets, an int8 island on the ARM machine model
@@ -73,6 +88,11 @@ fn int8_island_spans_relu_and_pool_without_interior_conversions() {
         pr3.quant_edge_count()
     );
     assert!(plan.predicted_us <= pr3.predicted_us + 1e-6);
+    // The superset argument holds on the strided-conv fixture too.
+    let mixed_net = models::micro_mixed();
+    let island = opt.plan(&mixed_net, Strategy::Pbqp).unwrap();
+    let pr3_mixed = Optimizer::new(&pr3_reg, &cost).plan(&mixed_net, Strategy::Pbqp).unwrap();
+    assert!(island.predicted_us <= pr3_mixed.predicted_us + 1e-6, "micro_mixed");
 
     // The PBQP solve still beats every baseline strategy on the residual
     // network.
@@ -109,7 +129,11 @@ fn session_engine_and_executor_agree_bit_for_bit_with_simd_dispatch_active() {
     use pbqp_dnn::runtime::Executor;
     use pbqp_dnn::tensor::rng::SplitMix64;
 
-    assert_eq!(arch::active_isa(), arch::features().best(), "dispatch must be live");
+    assert_eq!(
+        arch::active_isa(),
+        arch::forced().unwrap_or_else(|| arch::features().best()),
+        "dispatch must be live"
+    );
 
     let net = models::micro_resnet();
     let mut rng = SplitMix64::new(0x51D_CAFE);
@@ -134,12 +158,15 @@ fn session_engine_and_executor_agree_bit_for_bit_with_simd_dispatch_active() {
 
 #[test]
 fn built_in_models_get_genuinely_mixed_plans() {
-    // Two (model, machine) pairs known to split: on the ARM model AlexNet
+    // (model, machine) pairs known to split: on the ARM model AlexNet
     // keeps conv2 in f32 Winograd while the GEMM-bound layers go int8;
-    // on the Haswell model GoogleNet mixes across the inception towers.
-    let cases: Vec<(&str, pbqp_dnn::graph::DnnGraph, MachineModel)> = vec![
+    // on the Haswell model GoogleNet mixes across the inception towers,
+    // and micro_mixed's big strided conv goes int8 while its pointwise
+    // tail stays f32.
+    let cases: Vec<(&str, DnnGraph, MachineModel)> = vec![
         ("AlexNet", models::alexnet(), MachineModel::arm_a57_like()),
         ("GoogleNet", models::googlenet(), MachineModel::intel_haswell_like()),
+        ("micro_mixed", models::micro_mixed(), MachineModel::intel_haswell_like()),
     ];
     for (name, net, machine) in cases {
         let mixed_reg = Registry::new(mixed_precision_library());
@@ -188,6 +215,12 @@ fn built_in_models_get_genuinely_mixed_plans() {
             "{name}: mixed {} µs vs f32 {} µs",
             plan.predicted_us,
             f32_plan.predicted_us
+        );
+        let (mixed_bytes, f32_bytes) =
+            (activation_bytes(&net, &plan), activation_bytes(&net, &f32_plan));
+        assert!(
+            mixed_bytes < f32_bytes,
+            "{name}: int8 edges should cut activation bytes ({mixed_bytes} vs {f32_bytes})"
         );
 
         // Sanity on the layers the solver kept in f32: each is a genuine

@@ -88,8 +88,8 @@ fn mixed_precision_parallel_modes_are_bit_identical_with_simd_dispatch_active() 
     use pbqp_dnn::primitives::registry::mixed_precision_library;
 
     // Precondition, not an assumption: dispatch is live and reports the
-    // strongest tier this host supports.
-    assert_eq!(arch::active_isa(), arch::features().best());
+    // strongest tier this host supports, or the `PBQP_DNN_FORCE_ISA` pin.
+    assert_eq!(arch::active_isa(), arch::forced().unwrap_or_else(|| arch::features().best()));
 
     let net = pbqp_dnn::graph::models::micro_resnet();
     let mut rng = SplitMix64::new(0x51D_D15B);

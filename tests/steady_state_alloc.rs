@@ -92,13 +92,22 @@ fn steady_state_serving_performs_zero_heap_allocations() {
     for strategy in [Strategy::Pbqp, Strategy::CaffeLike, Strategy::VendorLike { vector_width: 8 }]
     {
         let plan = opt.plan(&net, strategy).expect("plans");
-        let exec = Executor::new(&net, &plan, &reg, &weights);
-        let mut out = Tensor::empty();
-        let mut outs = Vec::new();
 
         // Warmup: compiles the schedule, builds the pooled buffers and
-        // settles every arena watermark and output capacity.
+        // settles every arena watermark and output capacity. That cold
+        // run must register on the counter, or the zeros below prove
+        // nothing.
+        let before = allocs();
+        let exec = Executor::new(&net, &plan, &reg, &weights);
         let expected = exec.run(&input, 1).expect("warmup run");
+        let cold_allocs = allocs() - before;
+        assert!(
+            cold_allocs > 10,
+            "{}: cold run made only {cold_allocs} allocations",
+            strategy.label()
+        );
+        let mut out = Tensor::empty();
+        let mut outs = Vec::new();
         exec.run_into(&input, &mut out, 1).expect("warmup run_into");
         exec.run_batch_into(&inputs, &mut outs, Parallelism::serial()).expect("warmup batch");
 
