@@ -228,7 +228,7 @@ impl Gemm {
                     elems += k * n;
                 }
                 let workers = if mt { packed::mt_workers(m, self.threads) } else { 1 };
-                elems + packed::b_pack_elems(n) + workers * packed::a_pack_elems()
+                elems + packed::b_pack_elems(n, k) + workers * packed::a_pack_elems()
             }
         }
     }
@@ -370,7 +370,7 @@ impl Gemm {
                     }
                 };
                 let (a_pack, rest) = rest.split_at_mut(packed::a_pack_elems());
-                let (b_pack, _) = rest.split_at_mut(packed::b_pack_elems(n));
+                let (b_pack, _) = rest.split_at_mut(packed::b_pack_elems(n, k));
                 packed::gemm_nn_ws(self.microkernel(), m, n, k, a_n, b_n, beta, c, a_pack, b_pack);
             }
         }
@@ -581,6 +581,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn packed_scratch_is_sized_to_the_depth() {
+        // Shallow products (Winograd transforms: k = 9..36 over wide n)
+        // must not be charged a full KC-deep B slab.
+        let (m, n) = (6, 40);
+        let gemm = Gemm::new(GemmKind::Packed);
+        for k in [1, 9, 36, 255, 256, 257] {
+            let a = fill(m * k, 31);
+            let b = fill(k * n, 32);
+            let want = reference(Trans::N, Trans::N, m, n, k, &a, &b, 0.0, &vec![0.0; m * n]);
+            let mut scratch = vec![f32::NAN; gemm.scratch_elems(Trans::N, Trans::N, m, n, k)];
+            let mut c = vec![0.0f32; m * n];
+            gemm.run_with_scratch(Trans::N, Trans::N, m, n, k, &a, &b, 0.0, &mut c, &mut scratch);
+            for (got, want) in c.iter().zip(&want) {
+                assert!((got - want).abs() <= 1e-3, "k = {k}: {got} vs {want}");
+            }
+        }
+        let elems = |k| gemm.scratch_elems(Trans::N, Trans::N, m, n, k);
+        assert!(elems(9) < elems(256), "{} vs {}", elems(9), elems(256));
+        assert_eq!(elems(256), elems(257), "one slab at most");
     }
 
     #[test]

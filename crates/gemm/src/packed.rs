@@ -18,9 +18,10 @@ pub(crate) const fn a_pack_elems() -> usize {
     MC * KC
 }
 
-/// Elements of the shared B column-panel buffer for an `n`-wide C.
-pub(crate) fn b_pack_elems(n: usize) -> usize {
-    KC * n.div_ceil(NR) * NR
+/// Elements of the shared B column-panel buffer for an `n`-wide C and
+/// depth `k`: one slab of at most `KC` rows.
+pub(crate) fn b_pack_elems(n: usize, k: usize) -> usize {
+    KC.min(k) * n.div_ceil(NR) * NR
 }
 
 /// Worker count the multithreaded driver will actually use.
@@ -31,7 +32,7 @@ pub(crate) fn mt_workers(m: usize, threads: usize) -> usize {
 
 /// `C = A·B + β·C` with both operands in N form, using caller-provided
 /// pack panels: `a_pack` holds at least [`a_pack_elems`], `b_pack` at
-/// least [`b_pack_elems`]`(n)` elements.
+/// least [`b_pack_elems`]`(n, k)` elements.
 #[allow(clippy::too_many_arguments)] // BLAS-shaped signature
 pub(crate) fn gemm_nn_ws(
     mk: &dyn Microkernel,
@@ -54,7 +55,7 @@ pub(crate) fn gemm_nn_ws(
     }
 
     let a_pack = &mut a_pack[..a_pack_elems()];
-    let b_pack = &mut b_pack[..b_pack_elems(n)];
+    let b_pack = &mut b_pack[..b_pack_elems(n, k)];
 
     for p0 in (0..k).step_by(KC) {
         let pc = KC.min(k - p0);
@@ -79,7 +80,7 @@ pub(crate) fn gemm_nn_ws(
 /// of C accumulates its partial products in exactly the serial order —
 /// the parallel path is bit-identical to the serial one.
 /// The caller provides the packing workspace: `packs` holds at least
-/// [`b_pack_elems`]`(n) + `[`mt_workers`]`(m, threads) ·`
+/// [`b_pack_elems`]`(n, k) + `[`mt_workers`]`(m, threads) ·`
 /// [`a_pack_elems`] elements (B panel first, then one A panel per
 /// worker).
 #[allow(clippy::too_many_arguments)] // BLAS-shaped signature
@@ -99,7 +100,7 @@ pub(crate) fn gemm_nn_mt_ws(
     let blocks = m.div_ceil(MC);
     let workers = mt_workers(m, threads);
     if workers <= 1 {
-        let (b_pack, a_pack) = packs.split_at_mut(b_pack_elems(n));
+        let (b_pack, a_pack) = packs.split_at_mut(b_pack_elems(n, k));
         return gemm_nn_ws(mk, m, n, k, a, b, beta, c, a_pack, b_pack);
     }
 
@@ -126,7 +127,7 @@ pub(crate) fn gemm_nn_mt_ws(
         row += rows;
     }
 
-    let (b_pack, a_packs) = packs.split_at_mut(b_pack_elems(n));
+    let (b_pack, a_packs) = packs.split_at_mut(b_pack_elems(n, k));
     for p0 in (0..k).step_by(KC) {
         let pc = KC.min(k - p0);
         pack_b(b_pack, b, n, k, p0, pc);
@@ -169,13 +170,23 @@ fn pack_b(dst: &mut [f32], b: &[f32], n: usize, _k: usize, p0: usize, pc: usize)
 /// final partial panel.
 fn pack_a(dst: &mut [f32], a: &[f32], k: usize, i0: usize, ic: usize, p0: usize, pc: usize) {
     let panels = ic.div_ceil(MR);
-    for ip in 0..panels {
-        let r0 = ip * MR;
-        let rh = MR.min(ic - r0);
-        let base = ip * pc * MR;
-        for p in 0..pc {
-            for r in 0..MR {
-                dst[base + p * MR + r] = if r < rh { a[(i0 + r0 + r) * k + p0 + p] } else { 0.0 };
+    for (ip, panel) in dst[..panels * pc * MR].chunks_exact_mut(pc * MR).enumerate() {
+        let r0 = i0 + ip * MR;
+        let rh = MR.min(i0 + ic - r0);
+        let row = |r: usize| &a[(r0 + r) * k + p0..][..pc];
+        if rh == MR {
+            let rows: [&[f32]; MR] = std::array::from_fn(row);
+            for (p, out) in panel.chunks_exact_mut(MR).enumerate() {
+                for (o, r) in out.iter_mut().zip(&rows) {
+                    *o = r[p];
+                }
+            }
+        } else {
+            panel.fill(0.0);
+            for r in 0..rh {
+                for (out, &v) in panel[r..].iter_mut().step_by(MR).zip(row(r)) {
+                    *out = v;
+                }
             }
         }
     }

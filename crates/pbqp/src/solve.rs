@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::{CostMatrix, PbqpError, PbqpGraph, PbqpNodeId};
 
@@ -349,7 +349,10 @@ enum Reduction {
 struct State {
     costs: Vec<Vec<f64>>,
     /// adj[u][v] = matrix with rows = u's options, cols = v's options.
-    adj: Vec<HashMap<usize, CostMatrix>>,
+    /// Ordered by neighbour, so every walk over it (and with it every
+    /// tie the reductions and the search break) is the same in every
+    /// process.
+    adj: Vec<BTreeMap<usize, CostMatrix>>,
     alive: Vec<bool>,
     trail: Vec<Reduction>,
 }
@@ -357,7 +360,7 @@ struct State {
 impl State {
     fn new(g: &PbqpGraph) -> State {
         let n = g.num_nodes();
-        let mut adj: Vec<HashMap<usize, CostMatrix>> = vec![HashMap::new(); n];
+        let mut adj: Vec<BTreeMap<usize, CostMatrix>> = vec![BTreeMap::new(); n];
         for (&(u, v), m) in &g.edges {
             adj[u].insert(v, m.clone());
             adj[v].insert(u, m.transposed());

@@ -259,7 +259,7 @@ pub fn lrn_into(input: &Tensor, layout: Layout, ws: &mut Workspace, out: &mut Te
     out.reuse_as(c, h, w, layout);
     let (src, dst) = (input.data(), out.data_mut());
     let mark = ws.reals.mark();
-    let [squares] = ws.reals.take([src.len()]);
+    let [squares] = ws.reals.take_dirty([src.len()]);
     for (q, &v) in squares.iter_mut().zip(src) {
         *q = v * v;
     }
@@ -338,7 +338,7 @@ pub fn fully_connected_into(
     let x: &[f32] = if s.is_chw_order() {
         &input.data()[..in_len]
     } else {
-        let [gathered] = ws.reals.take([in_len]);
+        let [gathered] = ws.reals.take_dirty([in_len]);
         let src = input.data();
         s.for_each(|off, ci, y, x| gathered[(ci * h + y) * w + x] = src[off]);
         gathered

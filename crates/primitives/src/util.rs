@@ -16,20 +16,21 @@ pub(crate) fn padded_at(input: &Tensor, c: usize, iy: isize, ix: isize) -> f32 {
     }
 }
 
-/// Copies one padded input row `[x0 .. x0+len)` of channel `c`, row `iy`
-/// (already stride-adjusted, may be out of range) into `dst`, zero-filling
-/// outside the image.
-pub(crate) fn gather_row(input: &Tensor, c: usize, iy: isize, x0: isize, dst: &mut [f32]) {
-    let (_, h, w) = input.dims();
-    if iy < 0 || iy >= h as isize {
-        dst.fill(0.0);
-        return;
+/// Runs every job: the first on the calling thread, each other on its own
+/// scoped thread. A single job runs inline, without spawning.
+pub(crate) fn fan_out<F: FnOnce() + Send>(jobs: impl IntoIterator<Item = F>) {
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else { return };
+    let mut rest = jobs.peekable();
+    if rest.peek().is_none() {
+        return first();
     }
-    let iy = iy as usize;
-    for (o, slot) in dst.iter_mut().enumerate() {
-        let x = x0 + o as isize;
-        *slot = if x < 0 || x >= w as isize { 0.0 } else { input.at(c, iy, x as usize) };
-    }
+    std::thread::scope(|scope| {
+        for job in rest {
+            scope.spawn(job);
+        }
+        first();
+    });
 }
 
 /// Splits `0..m` into at most `threads` contiguous chunks and runs `f` on
@@ -145,13 +146,17 @@ mod tests {
     }
 
     #[test]
-    fn gather_row_handles_borders() {
-        let t = Tensor::from_fn(1, 1, 4, Layout::Chw, |_, _, w| w as f32 + 1.0);
-        let mut buf = [9.0f32; 6];
-        gather_row(&t, 0, 0, -1, &mut buf);
-        assert_eq!(buf, [0.0, 1.0, 2.0, 3.0, 4.0, 0.0]);
-        gather_row(&t, 0, 5, 0, &mut buf);
-        assert_eq!(buf, [0.0; 6]);
+    fn fan_out_runs_every_job_once() {
+        for jobs in [0, 1, 3] {
+            let count = AtomicUsize::new(0);
+            fan_out((0..jobs).map(|i| {
+                let count = &count;
+                move || {
+                    count.fetch_add(1 << i, Ordering::SeqCst);
+                }
+            }));
+            assert_eq!(count.load(Ordering::SeqCst), (1 << jobs) - 1);
+        }
     }
 
     #[test]

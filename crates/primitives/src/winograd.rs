@@ -5,38 +5,62 @@
 //! Transform matrices are generated by the Toom–Cook construction at the
 //! interpolation points `{0, ±1, ±2, ±½, …, ∞}` (the construction used by
 //! Lavin & Gray's `wincnn`), so a single implementation covers `F(2,3)`,
-//! `F(4,3)`, `F(6,3)` and `F(2,5)`:
+//! `F(4,3)`, `F(6,3)` and `F(2,5)`.
 //!
-//! * **2-D variants** transform whole `n × n` tiles
-//!   (`Y = Aᵀ[(G g Gᵀ) ⊙ (Bᵀ d B)]A`), minimizing operations at the cost of
-//!   `M·C·n²` transformed-kernel memory;
-//! * **1-D variants** apply `F(m, r)` along rows only and reduce over kernel
-//!   rows directly, needing `K×` less transformed-kernel memory — more
-//!   operations, smaller footprint (the trade the paper observes the ARM
-//!   selections exploit);
-//! * `vf4`/`vf8` variants batch 4 or 8 adjacent tiles through the
-//!   transforms in SIMD-style lanes.
+//! # One body, four GEMMs
+//!
+//! Every variant runs the same body, Lavin & Gray's (2016) GEMM form. A
+//! tile of `tv × n` inputs yields `mv × m` outputs through a separable
+//! transform: vertical matrices `(Bvᵀ, Gv, Avᵀ)` and horizontal ones
+//! `(Bhᵀ, Gh, Ahᵀ)`. A tile's inputs map one to one onto its `E = tv·n`
+//! transform positions. Output tiles are processed in blocks of at most
+//! [`BLOCK_TILES`]:
+//!
+//! 1. **Kernel** (per call): `U[e][m][c] = (Gv ⊗ Gh) · g[m][c]`.
+//! 2. **Input**: gather the block's tiles into `D[p][c·T + t]` through the
+//!    input layout's strides, then `V = (Bvᵀ ⊗ Bhᵀ) · D`, one GEMM.
+//! 3. **Product**: `M_e = U_e · V_e` for every position `e`, `E` GEMMs of
+//!    `M × C × T`.
+//! 4. **Inverse**: `Y = (Avᵀ ⊗ Ahᵀ) · M`, one GEMM, scattered through the
+//!    output layout's strides.
+//!
+//! | kind | `(Bvᵀ, Gv, Avᵀ)` | `(Bhᵀ, Gh, Ahᵀ)` | tile in → out | `E` |
+//! |---|---|---|---|---|
+//! | 2-D (`wino2d_*`) | `(Bᵀ, G, Aᵀ)` | `(Bᵀ, G, Aᵀ)` | `n × n → m × m` | `n²` |
+//! | 1-D (`wino1d_*`) | `(I_r, I_r, 1ᵀ_r)` | `(Bᵀ, G, Aᵀ)` | `r × n → 1 × m` | `r·n` |
+//!
+//! 2-D variants minimise multiplications at the cost of `M·C·n²`
+//! transformed-kernel memory; 1-D variants transform along rows only and
+//! sum the kernel rows in the inverse step (`1ᵀ_r`), needing `n/r` times
+//! less — more operations, smaller footprint (the trade the paper observes
+//! the ARM selections exploit). The channel-blocked (`c4`/`c8`) and HWC
+//! variants differ only in the strides the gather and scatter walk, and the
+//! `vf4`/`vf8` factors only in the cost model's view: the block of tiles is
+//! every variant's vector dimension.
 //!
 //! All variants require unit stride and their exact kernel radix.
 
+use std::sync::OnceLock;
+
+use pbqp_dnn_gemm::{Gemm, GemmKind, Trans};
 use pbqp_dnn_graph::ConvScenario;
 use pbqp_dnn_tensor::{KernelTensor, Layout, Tensor};
 
 use crate::algorithm::check_args;
-use crate::util::gather_row;
+use crate::util::fan_out;
 use crate::{ConvAlgorithm, Family, PrimitiveDescriptor, PrimitiveError, Workspace, WorkspaceReq};
 
 /// Toom–Cook interpolation points; `n − 1` finite points are drawn from
 /// this sequence (plus the implicit point at infinity).
 const POINTS: [f64; 9] = [0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, -3.0];
 
+/// Most output tiles one block carries: the column count of the product
+/// GEMMs.
+const BLOCK_TILES: usize = 64;
+
 /// The `F(m, r)` transform triple.
 #[derive(Debug, Clone)]
 pub(crate) struct WinogradTransform {
-    /// Outputs per tile.
-    pub m: usize,
-    /// Kernel radix.
-    pub r: usize,
     /// Tile size `m + r − 1`.
     pub n: usize,
     /// `m × n` inverse transform `Aᵀ`.
@@ -100,43 +124,10 @@ impl WinogradTransform {
         }
 
         WinogradTransform {
-            m,
-            r,
             n,
             at: at.into_iter().map(|v| v as f32).collect(),
             g: g.into_iter().map(|v| v as f32).collect(),
             bt: bt.into_iter().map(|v| v as f32).collect(),
-        }
-    }
-
-    /// `G · g` for a length-`r` kernel row → length-`n`.
-    pub fn transform_kernel_1d(&self, krow: &[f32], out: &mut [f32]) {
-        mat_vec(&self.g, self.n, self.r, krow, out);
-    }
-
-    /// `G · g · Gᵀ` for an `r × r` kernel tile → `n × n`.
-    pub fn transform_kernel_2d(&self, ktile: &[f32], out: &mut [f32]) {
-        let (n, r) = (self.n, self.r);
-        // tmp = G (n×r) · ktile (r×r) → n×r.
-        let mut tmp = vec![0.0f32; n * r];
-        for i in 0..n {
-            for j in 0..r {
-                let mut acc = 0.0;
-                for k in 0..r {
-                    acc += self.g[i * r + k] * ktile[k * r + j];
-                }
-                tmp[i * r + j] = acc;
-            }
-        }
-        // out = tmp · Gᵀ → n×n.
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..r {
-                    acc += tmp[i * r + k] * self.g[j * r + k];
-                }
-                out[i * n + j] = acc;
-            }
         }
     }
 }
@@ -145,92 +136,264 @@ impl WinogradTransform {
 fn poly_from_roots(roots: impl Iterator<Item = f64>) -> Vec<f64> {
     let mut coeffs = vec![1.0f64];
     for root in roots {
+        // Multiply in place by (x − root), highest power first.
         coeffs.push(0.0);
         for i in (0..coeffs.len() - 1).rev() {
             let c = coeffs[i];
             coeffs[i + 1] += c;
             coeffs[i] = -root * c;
         }
-        // After the loop the vector is (poly * (x - root)) in ascending
-        // order: rebuild explicitly to keep the invariant obvious.
-        // (The in-place update above already did exactly this.)
     }
     coeffs
 }
 
-#[inline]
-fn mat_vec(mat: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
-    for i in 0..rows {
-        let row = &mat[i * cols..(i + 1) * cols];
-        let mut acc = 0.0f32;
-        for (a, b) in row.iter().zip(x) {
-            acc += a * b;
+/// `a ⊗ b` of a row-major `ar × ac` matrix `a` and `br × bc` matrix `b`.
+fn kron(a: &[f32], (ar, ac): (usize, usize), b: &[f32], (br, bc): (usize, usize)) -> Vec<f32> {
+    let mut out = vec![0.0f32; ar * br * ac * bc];
+    for i in 0..ar {
+        for k in 0..br {
+            let row = &mut out[(i * br + k) * ac * bc..][..ac * bc];
+            for j in 0..ac {
+                for l in 0..bc {
+                    row[j * bc + l] = a[i * ac + j] * b[k * bc + l];
+                }
+            }
         }
-        out[i] = acc;
     }
+    out
+}
+
+/// The `r × r` identity.
+fn identity(r: usize) -> Vec<f32> {
+    (0..r * r).map(|i| if i % (r + 1) == 0 { 1.0 } else { 0.0 }).collect()
 }
 
 /// 1-D vs 2-D form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WinoMode {
-    /// Row-wise `F(m, r)`, direct reduction over kernel rows.
+    /// Row-wise `F(m, r)`; kernel rows are summed by the inverse step.
     OneD,
     /// Full-tile `F(m×m, r×r)`.
     TwoD,
 }
 
+/// The Kronecker-expanded transforms one variant multiplies by.
+struct KronTransforms {
+    /// `Bvᵀ ⊗ Bhᵀ`: `E × E`.
+    b: Vec<f32>,
+    /// `Gv ⊗ Gh`: `E × r²`.
+    g: Vec<f32>,
+    /// `Avᵀ ⊗ Ahᵀ`: `(mv·m) × E`.
+    a: Vec<f32>,
+}
+
 /// One member of the Winograd family.
 pub(crate) struct WinogradConv {
     desc: PrimitiveDescriptor,
-    tf: WinogradTransform,
+    /// Outputs per tile row of `F(m, r)`.
+    m: usize,
+    /// Kernel radix of `F(m, r)`.
+    r: usize,
     mode: WinoMode,
     vf: usize,
-    hwc: bool,
+    /// Tile input rows `tv` (`n` in 2-D, `r` in 1-D); every tile has `n`
+    /// input columns.
+    tile_rows: usize,
+    /// Output rows per tile `mv` (`m` in 2-D, 1 in 1-D); every tile has
+    /// `m` output columns.
+    out_rows: usize,
+    /// Built on first execute: every compile builds a registry, and most
+    /// of its Winograd variants never run.
+    transforms: OnceLock<KronTransforms>,
 }
 
 impl WinogradConv {
+    /// A planar CHW → CHW variant.
     pub(crate) fn new(name: &str, m: usize, r: usize, mode: WinoMode, vf: usize) -> WinogradConv {
-        WinogradConv {
-            desc: PrimitiveDescriptor::new(name, Family::Winograd, Layout::Chw, Layout::Chw)
-                .with_vector_factor(vf as u8)
-                .with_hint(crate::AlgoHint::Winograd { m, r, two_d: mode == WinoMode::TwoD }),
-            tf: WinogradTransform::new(m, r),
-            mode,
-            vf,
-            hwc: false,
-        }
+        WinogradConv::with_layout(name, m, r, mode, vf, Layout::Chw)
     }
 
-    /// Channel-blocked input variant: reads `CHWc4`/`CHWc8` (aligned
-    /// vector loads in the tile transforms) and writes planar CHW.
-    pub(crate) fn new_blocked(
+    /// A variant reading `layout`: HWC writes HWC, every other layout
+    /// (CHW and the `CHWc4`/`CHWc8` blocked ones) writes planar CHW.
+    pub(crate) fn with_layout(
         name: &str,
         m: usize,
         r: usize,
         mode: WinoMode,
+        vf: usize,
         layout: Layout,
     ) -> WinogradConv {
-        let vf = layout.channel_block();
+        let out_layout = if layout == Layout::Hwc { Layout::Hwc } else { Layout::Chw };
+        let (tile_rows, out_rows) = match mode {
+            WinoMode::TwoD => (m + r - 1, m),
+            WinoMode::OneD => (r, 1),
+        };
         WinogradConv {
-            desc: PrimitiveDescriptor::new(name, Family::Winograd, layout, Layout::Chw)
+            desc: PrimitiveDescriptor::new(name, Family::Winograd, layout, out_layout)
                 .with_vector_factor(vf as u8)
                 .with_hint(crate::AlgoHint::Winograd { m, r, two_d: mode == WinoMode::TwoD }),
-            tf: WinogradTransform::new(m, r),
+            m,
+            r,
             mode,
             vf,
-            hwc: false,
+            tile_rows,
+            out_rows,
+            transforms: OnceLock::new(),
         }
     }
 
-    pub(crate) fn new_hwc(name: &str, m: usize, r: usize, vf: usize) -> WinogradConv {
-        WinogradConv {
-            desc: PrimitiveDescriptor::new(name, Family::Winograd, Layout::Hwc, Layout::Hwc)
-                .with_vector_factor(vf as u8)
-                .with_hint(crate::AlgoHint::Winograd { m, r, two_d: true }),
-            tf: WinogradTransform::new(m, r),
-            mode: WinoMode::TwoD,
-            vf,
-            hwc: true,
+    /// Tile size `n = m + r − 1`.
+    fn n(&self) -> usize {
+        self.m + self.r - 1
+    }
+
+    fn transforms(&self) -> &KronTransforms {
+        self.transforms.get_or_init(|| {
+            let tf = WinogradTransform::new(self.m, self.r);
+            let (n, r, tv, mv) = (tf.n, self.r, self.tile_rows, self.out_rows);
+            let (id, ones) = (identity(r), vec![1.0; r]);
+            let (bv, gv, av) = match self.mode {
+                WinoMode::TwoD => (&tf.bt, &tf.g, &tf.at),
+                WinoMode::OneD => (&id, &id, &ones),
+            };
+            KronTransforms {
+                b: kron(bv, (tv, tv), &tf.bt, (n, n)),
+                g: kron(gv, (tv, r), &tf.g, (n, r)),
+                a: kron(av, (mv, tv), &tf.at, (self.m, n)),
+            }
+        })
+    }
+
+    /// Transform positions per tile, `E`.
+    fn positions(&self) -> usize {
+        self.tile_rows * self.n()
+    }
+
+    /// Output tiles per row of tiles, and in total.
+    fn tiles(&self, s: &ConvScenario) -> (usize, usize) {
+        let across = s.out_w().div_ceil(self.m);
+        (across, across * s.out_h().div_ceil(self.out_rows))
+    }
+
+    /// Scratch `[u, taps, front, back, gemm]` of one execute over
+    /// `workers` threads; `taps` and `gemm` are per worker. `front`
+    /// holds the gathered tiles, then the products; `back` the
+    /// transformed tiles, then the inverse-transformed outputs.
+    fn scratch_parts(&self, s: &ConvScenario, workers: usize) -> [usize; 5] {
+        let e = self.positions();
+        let q = self.out_rows * self.m;
+        let t = BLOCK_TILES.min(self.tiles(s).1);
+        let gemm = Gemm::new(GemmKind::Packed);
+        let gemm_elems = gemm
+            .scratch_elems(Trans::N, Trans::N, e, s.c * t, e)
+            .max(gemm.scratch_elems(Trans::N, Trans::N, s.m, t, s.c))
+            .max(gemm.scratch_elems(Trans::N, Trans::N, q, s.m * t, e));
+        [
+            e * s.m * s.c,
+            workers * s.k * s.k * s.c,
+            e * s.c.max(s.m) * t,
+            (e * s.c).max(q * s.m) * t,
+            workers * gemm_elems,
+        ]
+    }
+
+    /// Step 1 for positions `e0 ..`: fills `u` (whole `M × C` matrices
+    /// `U_e`) from each filter's taps transposed to channel-minor
+    /// `taps[ij][c]`, so every update is a contiguous run over channels.
+    fn transform_kernel(
+        &self,
+        kernel: &KernelTensor,
+        s: &ConvScenario,
+        e0: usize,
+        u: &mut [f32],
+        taps: &mut [f32],
+    ) {
+        let rr = s.k * s.k;
+        let coefs = &self.transforms().g[e0 * rr..][..u.len() / (s.m * s.c) * rr];
+        for (m, filter) in kernel.data().chunks_exact(s.c * rr).enumerate() {
+            for (c, tap) in filter.chunks_exact(rr).enumerate() {
+                for (ij, &v) in tap.iter().enumerate() {
+                    taps[ij * s.c + c] = v;
+                }
+            }
+            for (u_e, coefs) in u.chunks_exact_mut(s.m * s.c).zip(coefs.chunks_exact(rr)) {
+                let row = &mut u_e[m * s.c..][..s.c];
+                row.fill(0.0);
+                for (&coef, tap) in coefs.iter().zip(taps.chunks_exact(s.c)) {
+                    if coef != 0.0 {
+                        for (o, &v) in row.iter_mut().zip(tap) {
+                            *o += coef * v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Output origins `(y, x)` of tiles `first .. first + nt`, row-major
+    /// over the tile grid.
+    fn origins(
+        &self,
+        s: &ConvScenario,
+        first: usize,
+        nt: usize,
+    ) -> impl Iterator<Item = (usize, usize)> {
+        let (across, _) = self.tiles(s);
+        let (mv, mh) = (self.out_rows, self.m);
+        let (mut ty, mut tx) = (first / across, first % across);
+        (0..nt).map(move |_| {
+            let origin = (ty * mv, tx * mh);
+            tx += 1;
+            if tx == across {
+                (ty, tx) = (ty + 1, 0);
+            }
+            origin
+        })
+    }
+
+    /// Step 2a: `D[p][c·nt + t]`, input pixel `p` of tile `first + t` in
+    /// channel `c`, zero outside the image.
+    fn gather(&self, input: &Tensor, s: &ConvScenario, first: usize, nt: usize, d: &mut [f32]) {
+        let n = self.n();
+        let (_, h, w) = input.dims();
+        let st = input.layout().strides(input.dims());
+        let src = input.data();
+        for c in 0..s.c {
+            let plane = &src[st.channel(c)..];
+            for (p, (py, px)) in
+                (0..self.tile_rows).flat_map(|py| (0..n).map(move |px| (py, px))).enumerate()
+            {
+                let row = &mut d[(p * s.c + c) * nt..][..nt];
+                for (slot, (oy, ox)) in row.iter_mut().zip(self.origins(s, first, nt)) {
+                    // Above or left of the image wraps past `h` / `w`.
+                    let (iy, ix) = ((oy + py).wrapping_sub(s.pad), (ox + px).wrapping_sub(s.pad));
+                    *slot = if iy < h && ix < w { plane[iy * st.h + ix * st.w] } else { 0.0 };
+                }
+            }
+        }
+    }
+
+    /// Step 4b: writes `Y[q][m·nt + t]`, output `q` of tile `first + t`
+    /// in channel `m`, through the output strides, clipping the tiles
+    /// that overhang the bottom and right edges.
+    fn scatter(&self, s: &ConvScenario, first: usize, nt: usize, y: &[f32], out: &mut Tensor) {
+        let mt = self.m;
+        let (oh, ow) = (s.out_h(), s.out_w());
+        let st = out.layout().strides(out.dims());
+        let dst = out.data_mut();
+        for m in 0..s.m {
+            let plane = &mut dst[st.channel(m)..];
+            for (q, (qy, qx)) in
+                (0..self.out_rows).flat_map(|qy| (0..mt).map(move |qx| (qy, qx))).enumerate()
+            {
+                let row = &y[(q * s.m + m) * nt..][..nt];
+                for (&v, (oy, ox)) in row.iter().zip(self.origins(s, first, nt)) {
+                    let (oy, ox) = (oy + qy, ox + qx);
+                    if oy < oh && ox < ow {
+                        plane[oy * st.h + ox * st.w] = v;
+                    }
+                }
+            }
         }
     }
 }
@@ -241,11 +404,11 @@ impl ConvAlgorithm for WinogradConv {
     }
 
     fn supports(&self, s: &ConvScenario) -> bool {
-        s.stride == 1 && s.k == self.tf.r
+        s.stride == 1 && s.k == self.r
     }
 
     fn workspace_elems(&self, s: &ConvScenario) -> usize {
-        let n = self.tf.n;
+        let n = self.n();
         match self.mode {
             // Transformed kernel rows: M·C·K·n.
             WinoMode::OneD => s.m * s.c * s.k * n + s.m * n * self.vf,
@@ -255,15 +418,7 @@ impl ConvAlgorithm for WinogradConv {
     }
 
     fn workspace_req(&self, s: &ConvScenario) -> WorkspaceReq {
-        let (n, mt, r, vf) = (self.tf.n, self.tf.m, self.tf.r, self.vf);
-        let nn = n * n;
-        let elems = match self.mode {
-            // u + krow + per-slab (d, v, p, y_out) at m_here = M.
-            WinoMode::OneD => s.m * s.c * r * n + r + n + n * vf + s.m * n * vf + mt,
-            // u + ktile + per-slab (d, v, p, tmp, y_tile) at m_here = M.
-            WinoMode::TwoD => s.m * s.c * nn + r * r + nn + nn * vf + s.m * nn * vf + nn + mt * mt,
-        };
-        WorkspaceReq::f32s(elems)
+        WorkspaceReq::f32s(self.scratch_parts(s, 1).iter().sum())
     }
 
     fn execute_into(
@@ -277,399 +432,59 @@ impl ConvAlgorithm for WinogradConv {
     ) -> Result<(), PrimitiveError> {
         check_args(&self.desc, self.supports(s), input, kernel, s)?;
         out.reuse_as(s.m, s.out_h(), s.out_w(), self.desc.output_layout);
-        match self.mode {
-            WinoMode::OneD => self.run_1d(input, kernel, s, threads, ws, out),
-            WinoMode::TwoD => self.run_2d(input, kernel, s, threads, ws, out),
+        let (gemm, kt) = (Gemm::new(GemmKind::Packed), self.transforms());
+        let (e, q) = (self.positions(), self.out_rows * self.m);
+        let (mc, (_, tiles)) = (s.m * s.c, self.tiles(s));
+        // Intra-op workers split the positions: each transforms its
+        // `U_e` and runs its serial product GEMMs, so every thread count
+        // computes the same bits.
+        let workers = threads.clamp(1, e);
+        let per = e.div_ceil(workers);
+
+        // Every buffer is written in full before it is read.
+        let mark = ws.reals.mark();
+        let [u, taps, front, back, gbufs] = ws.reals.take_dirty(self.scratch_parts(s, workers));
+        let gbuf_len = gbufs.len() / workers;
+        fan_out(
+            u.chunks_mut(per * mc)
+                .zip(taps.chunks_mut(taps.len() / workers))
+                .enumerate()
+                .map(|(w, (u, taps))| move || self.transform_kernel(kernel, s, w * per, u, taps)),
+        );
+        let u = &*u;
+        for first in (0..tiles).step_by(BLOCK_TILES) {
+            let nt = BLOCK_TILES.min(tiles - first);
+            let (cn, mn) = (s.c * nt, s.m * nt);
+            self.gather(input, s, first, nt, front);
+            let gbuf = &mut gbufs[..gbuf_len];
+            gemm.run_with_scratch(Trans::N, Trans::N, e, cn, e, &kt.b, front, 0.0, back, gbuf);
+            let jobs = u.chunks(per * mc).zip(back.chunks(per * cn));
+            let jobs = jobs.zip(front.chunks_mut(per * mn)).zip(gbufs.chunks_mut(gbuf_len));
+            fan_out(jobs.map(|(((u, v), m), gbuf)| {
+                move || {
+                    let products = u.chunks_exact(mc).zip(v.chunks_exact(cn));
+                    for ((u_e, v_e), m_e) in products.zip(m.chunks_exact_mut(mn)) {
+                        gemm.run_with_scratch(
+                            Trans::N,
+                            Trans::N,
+                            s.m,
+                            nt,
+                            s.c,
+                            u_e,
+                            v_e,
+                            0.0,
+                            m_e,
+                            gbuf,
+                        );
+                    }
+                }
+            }));
+            let gbuf = &mut gbufs[..gbuf_len];
+            gemm.run_with_scratch(Trans::N, Trans::N, q, mn, e, &kt.a, front, 0.0, back, gbuf);
+            self.scatter(s, first, nt, back, out);
         }
+        ws.reals.release(mark);
         Ok(())
-    }
-}
-
-/// Per-worker scratch of the 1-D driver: input segment, per-lane
-/// transformed segments, accumulators, inverse-transform output.
-struct Wino1dScratch<'a> {
-    d: &'a mut [f32],
-    v: &'a mut [f32],
-    p: &'a mut [f32],
-    y_out: &'a mut [f32],
-}
-
-/// Per-worker scratch of the 2-D driver.
-struct Wino2dScratch<'a> {
-    d: &'a mut [f32],
-    v: &'a mut [f32],
-    p: &'a mut [f32],
-    tmp: &'a mut [f32],
-    y_tile: &'a mut [f32],
-}
-
-impl WinogradConv {
-    /// Row-wise 1-D Winograd: transform each kernel row once, then for every
-    /// output row reduce over channels and kernel rows in the transform
-    /// domain.
-    fn run_1d(
-        &self,
-        input: &Tensor,
-        kernel: &KernelTensor,
-        s: &ConvScenario,
-        threads: usize,
-        ws: &mut Workspace,
-        out: &mut Tensor,
-    ) {
-        let tf = &self.tf;
-        let (n, mt, r) = (tf.n, tf.m, tf.r);
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let vf = self.vf;
-
-        let mark = ws.reals.mark();
-        let [u, krow, d, v, p, y_out] =
-            ws.reals.take([s.m * s.c * r * n, r, n, n * vf, s.m * n * vf, mt]);
-
-        // U[m][c][i]: transformed kernel rows.
-        for m in 0..s.m {
-            for c in 0..s.c {
-                for i in 0..r {
-                    for (j, slot) in krow.iter_mut().enumerate() {
-                        *slot = kernel.at(m, c, i, j);
-                    }
-                    let off = ((m * s.c + c) * r + i) * n;
-                    tf.transform_kernel_1d(krow, &mut u[off..off + n]);
-                }
-            }
-        }
-
-        let plane = oh * ow;
-        if threads.max(1) <= 1 {
-            // Steady-state path: no spawn, all scratch from the workspace.
-            self.run_1d_slab(input, s, u, 0, out.data_mut(), Wino1dScratch { d, v, p, y_out });
-        } else {
-            let per = s.m.div_ceil(threads).max(1);
-            let u = &*u;
-            std::thread::scope(|scope| {
-                for (t, slab) in out.data_mut().chunks_mut(per * plane).enumerate() {
-                    scope.spawn(move || {
-                        let m_here = slab.len() / plane;
-                        let mut d = vec![0.0f32; n];
-                        let mut v = vec![0.0f32; n * vf];
-                        let mut p = vec![0.0f32; m_here * n * vf];
-                        let mut y_out = vec![0.0f32; mt];
-                        let scratch =
-                            Wino1dScratch { d: &mut d, v: &mut v, p: &mut p, y_out: &mut y_out };
-                        self.run_1d_slab(input, s, u, t * per, slab, scratch);
-                    });
-                }
-            });
-        }
-        ws.reals.release(mark);
-    }
-
-    /// The 1-D driver body for output channels `[m0, m0 + slab/plane)`.
-    fn run_1d_slab(
-        &self,
-        input: &Tensor,
-        s: &ConvScenario,
-        u: &[f32],
-        m0: usize,
-        slab: &mut [f32],
-        scratch: Wino1dScratch<'_>,
-    ) {
-        let tf = &self.tf;
-        let (n, mt, r) = (tf.n, tf.m, tf.r);
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let vf = self.vf;
-        let plane = oh * ow;
-        let m_here = slab.len() / plane;
-        let Wino1dScratch { d, v, p, y_out } = scratch;
-        let p = &mut p[..m_here * n * vf];
-        for y in 0..oh {
-            let mut x0 = 0;
-            while x0 < ow {
-                let lanes = vf.min((ow - x0).div_ceil(mt));
-                // P is indexed with stride `vf`, so clear it all.
-                p.fill(0.0);
-                for c in 0..s.c {
-                    for i in 0..r {
-                        let iy = (y + i) as isize - s.pad as isize;
-                        for lane in 0..lanes {
-                            let xs = (x0 + lane * mt) as isize - s.pad as isize;
-                            gather_row(input, c, iy, xs, d);
-                            mat_vec(&tf.bt, n, n, d, &mut v[lane * n..(lane + 1) * n]);
-                        }
-                        for mo in 0..m_here {
-                            let uoff = (((m0 + mo) * s.c + c) * r + i) * n;
-                            let urow = &u[uoff..uoff + n];
-                            for lane in 0..lanes {
-                                let vrow = &v[lane * n..(lane + 1) * n];
-                                let prow = &mut p[(mo * vf + lane) * n..(mo * vf + lane + 1) * n];
-                                for ((pv, &uv), &vv) in prow.iter_mut().zip(urow).zip(vrow) {
-                                    *pv += uv * vv;
-                                }
-                            }
-                        }
-                    }
-                }
-                for mo in 0..m_here {
-                    for lane in 0..lanes {
-                        let prow = &p[(mo * vf + lane) * n..(mo * vf + lane + 1) * n];
-                        mat_vec(&tf.at, mt, n, prow, y_out);
-                        let xb = x0 + lane * mt;
-                        for (dx, &val) in y_out.iter().enumerate() {
-                            if xb + dx < ow {
-                                slab[mo * plane + y * ow + xb + dx] = val;
-                            }
-                        }
-                    }
-                }
-                x0 += mt * lanes;
-            }
-        }
-    }
-
-    /// Full 2-D Winograd: transform kernel tiles once, then per image tile
-    /// reduce over channels in the transform domain and inverse-transform.
-    fn run_2d(
-        &self,
-        input: &Tensor,
-        kernel: &KernelTensor,
-        s: &ConvScenario,
-        threads: usize,
-        ws: &mut Workspace,
-        out: &mut Tensor,
-    ) {
-        let tf = &self.tf;
-        let (n, mt, r) = (tf.n, tf.m, tf.r);
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let vf = self.vf;
-        let nn = n * n;
-
-        let mark = ws.reals.mark();
-        let [u, ktile, d, v, p, tmp, y_tile] =
-            ws.reals.take([s.m * s.c * nn, r * r, nn, nn * vf, s.m * nn * vf, nn, mt * mt]);
-
-        // U[m][c]: transformed kernel tiles (M·C·n² memory — the 2-D
-        // footprint the paper's ARM selections avoid).
-        for m in 0..s.m {
-            for c in 0..s.c {
-                for i in 0..r {
-                    for j in 0..r {
-                        ktile[i * r + j] = kernel.at(m, c, i, j);
-                    }
-                }
-                let off = (m * s.c + c) * nn;
-                tf.transform_kernel_2d(ktile, &mut u[off..off + nn]);
-            }
-        }
-
-        if self.hwc {
-            self.run_2d_hwc(input, s, u, Wino2dScratch { d, v, p, tmp, y_tile }, out);
-            ws.reals.release(mark);
-            return;
-        }
-
-        let plane = oh * ow;
-        if threads.max(1) <= 1 {
-            let scratch = Wino2dScratch { d, v, p, tmp, y_tile };
-            self.run_2d_slab(input, s, u, 0, out.data_mut(), scratch);
-        } else {
-            let per = s.m.div_ceil(threads).max(1);
-            let u = &*u;
-            std::thread::scope(|scope| {
-                for (t, slab) in out.data_mut().chunks_mut(per * plane).enumerate() {
-                    scope.spawn(move || {
-                        let m_here = slab.len() / plane;
-                        let mut d = vec![0.0f32; nn];
-                        let mut v = vec![0.0f32; nn * vf];
-                        let mut p = vec![0.0f32; m_here * nn * vf];
-                        let mut tmp = vec![0.0f32; nn];
-                        let mut y_tile = vec![0.0f32; mt * mt];
-                        let scratch = Wino2dScratch {
-                            d: &mut d,
-                            v: &mut v,
-                            p: &mut p,
-                            tmp: &mut tmp,
-                            y_tile: &mut y_tile,
-                        };
-                        self.run_2d_slab(input, s, u, t * per, slab, scratch);
-                    });
-                }
-            });
-        }
-        ws.reals.release(mark);
-    }
-
-    /// The 2-D driver body for output channels `[m0, m0 + slab/plane)`.
-    fn run_2d_slab(
-        &self,
-        input: &Tensor,
-        s: &ConvScenario,
-        u: &[f32],
-        m0: usize,
-        slab: &mut [f32],
-        scratch: Wino2dScratch<'_>,
-    ) {
-        let tf = &self.tf;
-        let (n, mt) = (tf.n, tf.m);
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let vf = self.vf;
-        let nn = n * n;
-        let plane = oh * ow;
-        let m_here = slab.len() / plane;
-        let Wino2dScratch { d, v, p, tmp, y_tile } = scratch;
-        let p = &mut p[..m_here * nn * vf];
-        let mut y0 = 0;
-        while y0 < oh {
-            let mut x0 = 0;
-            while x0 < ow {
-                let lanes = vf.min((ow - x0).div_ceil(mt));
-                // P is indexed with stride `vf`, so clear it all.
-                p.fill(0.0);
-                for c in 0..s.c {
-                    for lane in 0..lanes {
-                        let xs = (x0 + lane * mt) as isize - s.pad as isize;
-                        for a in 0..n {
-                            let iy = (y0 + a) as isize - s.pad as isize;
-                            gather_row(input, c, iy, xs, &mut d[a * n..(a + 1) * n]);
-                        }
-                        transform_tile(&tf.bt, n, d, tmp, &mut v[lane * nn..(lane + 1) * nn]);
-                    }
-                    for mo in 0..m_here {
-                        let utile = &u[((m0 + mo) * s.c + c) * nn..][..nn];
-                        for lane in 0..lanes {
-                            let vtile = &v[lane * nn..(lane + 1) * nn];
-                            let ptile = &mut p[(mo * vf + lane) * nn..(mo * vf + lane + 1) * nn];
-                            for ((pv, &uv), &vv) in ptile.iter_mut().zip(utile).zip(vtile) {
-                                *pv += uv * vv;
-                            }
-                        }
-                    }
-                }
-                for mo in 0..m_here {
-                    for lane in 0..lanes {
-                        let ptile = &p[(mo * vf + lane) * nn..(mo * vf + lane + 1) * nn];
-                        inverse_tile(&tf.at, mt, n, ptile, tmp, y_tile);
-                        let xb = x0 + lane * mt;
-                        for dy in 0..mt.min(oh - y0) {
-                            for dx in 0..mt {
-                                if xb + dx < ow {
-                                    slab[mo * plane + (y0 + dy) * ow + xb + dx] =
-                                        y_tile[dy * mt + dx];
-                                }
-                            }
-                        }
-                    }
-                }
-                x0 += mt * lanes;
-            }
-            y0 += mt;
-        }
-    }
-
-    /// HWC-layout 2-D variant (single-threaded; interleaved output).
-    fn run_2d_hwc(
-        &self,
-        input: &Tensor,
-        s: &ConvScenario,
-        u: &[f32],
-        scratch: Wino2dScratch<'_>,
-        out: &mut Tensor,
-    ) {
-        let tf = &self.tf;
-        let (n, mt) = (tf.n, tf.m);
-        let nn = n * n;
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let (_, h, w) = input.dims();
-        let src = input.data();
-        let Wino2dScratch { d, v, p, tmp, y_tile } = scratch;
-        let v = &mut v[..nn];
-        let p = &mut p[..s.m * nn];
-        let mut y0 = 0;
-        while y0 < oh {
-            let mut x0 = 0;
-            while x0 < ow {
-                p.fill(0.0);
-                for c in 0..s.c {
-                    for a in 0..n {
-                        let iy = (y0 + a) as isize - s.pad as isize;
-                        for b in 0..n {
-                            let ix = (x0 + b) as isize - s.pad as isize;
-                            d[a * n + b] =
-                                if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                                    0.0
-                                } else {
-                                    src[(iy as usize * w + ix as usize) * s.c + c]
-                                };
-                        }
-                    }
-                    transform_tile(&tf.bt, n, d, tmp, v);
-                    for mo in 0..s.m {
-                        let utile = &u[(mo * s.c + c) * nn..][..nn];
-                        let ptile = &mut p[mo * nn..(mo + 1) * nn];
-                        for ((pv, &uv), &vv) in ptile.iter_mut().zip(utile).zip(&*v) {
-                            *pv += uv * vv;
-                        }
-                    }
-                }
-                let data = out.data_mut();
-                for mo in 0..s.m {
-                    inverse_tile(&tf.at, mt, n, &p[mo * nn..(mo + 1) * nn], tmp, y_tile);
-                    for dy in 0..mt.min(oh - y0) {
-                        for dx in 0..mt.min(ow - x0) {
-                            data[((y0 + dy) * ow + (x0 + dx)) * s.m + mo] = y_tile[dy * mt + dx];
-                        }
-                    }
-                }
-                x0 += mt;
-            }
-            y0 += mt;
-        }
-    }
-}
-
-/// `V = Bᵀ · d · B` for an `n × n` tile.
-fn transform_tile(bt: &[f32], n: usize, d: &[f32], tmp: &mut [f32], v: &mut [f32]) {
-    // tmp = Bᵀ · d.
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += bt[i * n + k] * d[k * n + j];
-            }
-            tmp[i * n + j] = acc;
-        }
-    }
-    // v = tmp · B  (i.e. v[i][j] = Σ_k tmp[i][k] · Bᵀ[j][k]).
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += tmp[i * n + k] * bt[j * n + k];
-            }
-            v[i * n + j] = acc;
-        }
-    }
-}
-
-/// `Y = Aᵀ · p · A` for an `n × n` accumulator, producing `mt × mt`.
-fn inverse_tile(at: &[f32], mt: usize, n: usize, p: &[f32], tmp: &mut [f32], y: &mut [f32]) {
-    // tmp(mt×n) = Aᵀ · p.
-    for i in 0..mt {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += at[i * n + k] * p[k * n + j];
-            }
-            tmp[i * n + j] = acc;
-        }
-    }
-    // y = tmp · A (y[i][j] = Σ_k tmp[i][k] · Aᵀ[j][k]).
-    for i in 0..mt {
-        for j in 0..mt {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += tmp[i * n + k] * at[j * n + k];
-            }
-            y[i * mt + j] = acc;
-        }
     }
 }
 
@@ -696,24 +511,24 @@ pub(crate) fn all() -> Vec<Box<dyn ConvAlgorithm>> {
     }
     prims.push(Box::new(WinogradConv::new("wino1d_f63_vf1", 6, 3, WinoMode::OneD, 1)));
     prims.push(Box::new(WinogradConv::new("wino2d_f63_vf1", 6, 3, WinoMode::TwoD, 1)));
-    prims.push(Box::new(WinogradConv::new_hwc("wino2d_f23_hwc", 2, 3, 1)));
-    prims.push(Box::new(WinogradConv::new_hwc("wino2d_f43_hwc", 4, 3, 1)));
+    for (m, tag) in [(2, "f23"), (4, "f43")] {
+        let name = format!("wino2d_{tag}_hwc");
+        prims.push(Box::new(WinogradConv::with_layout(
+            &name,
+            m,
+            3,
+            WinoMode::TwoD,
+            1,
+            Layout::Hwc,
+        )));
+    }
     for (layout, tag) in [(Layout::Chw4, "c4"), (Layout::Chw8, "c8")] {
-        for (m, r, f) in [(2, 3, "f23"), (4, 3, "f43")] {
-            prims.push(Box::new(WinogradConv::new_blocked(
-                &format!("wino1d_{f}_{tag}"),
-                m,
-                r,
-                WinoMode::OneD,
-                layout,
-            )));
-            prims.push(Box::new(WinogradConv::new_blocked(
-                &format!("wino2d_{f}_{tag}"),
-                m,
-                r,
-                WinoMode::TwoD,
-                layout,
-            )));
+        for (m, f) in [(2, "f23"), (4, "f43")] {
+            for (mode, d) in [(WinoMode::OneD, "1d"), (WinoMode::TwoD, "2d")] {
+                let name = format!("wino{d}_{f}_{tag}");
+                let vf = layout.channel_block();
+                prims.push(Box::new(WinogradConv::with_layout(&name, m, 3, mode, vf, layout)));
+            }
         }
     }
     prims
@@ -731,6 +546,12 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((state >> 40) as f32 / (1u64 << 23) as f32) - 1.0
             })
+            .collect()
+    }
+
+    fn mat_vec(mat: &[f32], rows: usize, x: &[f32]) -> Vec<f32> {
+        mat.chunks_exact(mat.len() / rows)
+            .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
             .collect()
     }
 
@@ -754,19 +575,25 @@ mod tests {
             let n = tf.n;
             let d = pseudo(n, (m * 10 + r) as u64);
             let g = pseudo(r, (m * 100 + r) as u64);
-            let mut gg = vec![0.0f32; n];
-            tf.transform_kernel_1d(&g, &mut gg);
-            let mut dd = vec![0.0f32; n];
-            mat_vec(&tf.bt, n, n, &d, &mut dd);
+            let gg = mat_vec(&tf.g, n, &g);
+            let dd = mat_vec(&tf.bt, n, &d);
             let prod: Vec<f32> = gg.iter().zip(&dd).map(|(a, b)| a * b).collect();
-            let mut y = vec![0.0f32; m];
-            mat_vec(&tf.at, m, n, &prod, &mut y);
+            let y = mat_vec(&tf.at, m, &prod);
             for k in 0..m {
                 let want: f32 = (0..r).map(|j| d[k + j] * g[j]).sum();
                 let tol = 1e-3 * (1.0 + want.abs());
                 assert!((y[k] - want).abs() < tol, "F({m},{r}) output {k}: {} vs {want}", y[k]);
             }
         }
+    }
+
+    #[test]
+    fn kron_matches_its_definition() {
+        let (a, b) = ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, -1.0]);
+        // (2×3) ⊗ (2×1) = 4×3: each entry of `a` scaled by the column `b`.
+        let k = kron(&a, (2, 3), &b, (2, 1));
+        assert_eq!(k, [1., 2., 3., -1., -2., -3., 4., 5., 6., -4., -5., -6.]);
+        assert_eq!(kron(&identity(2), (2, 2), &[7.0], (1, 1)), [7., 0., 0., 7.]);
     }
 
     fn scenarios_k3() -> Vec<ConvScenario> {
@@ -799,6 +626,24 @@ mod tests {
                 let tol = if prim.descriptor().name.contains("f63") { 5e-2 } else { 5e-3 };
                 assert!(diff < tol, "{} on {s}: diff {diff}", prim.descriptor().name);
             }
+        }
+    }
+
+    #[test]
+    fn blocks_of_tiles_cover_large_outputs() {
+        // 40×40 outputs are 100 F(4,3) tiles (two blocks) and 560 1-D
+        // F(2,3) tiles (nine blocks, the last one partial).
+        let s = ConvScenario::new(5, 40, 40, 1, 3, 6);
+        let input = Tensor::random(s.c, s.h, s.w, Layout::Chw, 81);
+        let kernel = KernelTensor::random(s.m, s.c, s.k, s.k, 82);
+        let want = sum2d_reference(&input, &kernel, &s);
+        for prim in [
+            WinogradConv::new("two", 4, 3, WinoMode::TwoD, 1),
+            WinogradConv::new("one", 2, 3, WinoMode::OneD, 1),
+        ] {
+            assert!(prim.tiles(&s).1 > BLOCK_TILES);
+            let diff = prim.execute(&input, &kernel, &s, 1).unwrap().max_abs_diff(&want).unwrap();
+            assert!(diff < 5e-3, "{}: diff {diff}", prim.descriptor().name);
         }
     }
 

@@ -89,6 +89,18 @@ impl<T: Copy + Default> Arena<T> {
     /// returned slices borrow the arena mutably — carve everything a
     /// kernel needs in one call.
     pub fn take<const N: usize>(&mut self, lens: [usize; N]) -> [&mut [T]; N] {
+        let mut out = self.take_dirty(lens);
+        for slice in &mut out {
+            slice.fill(T::default());
+        }
+        out
+    }
+
+    /// [`Arena::take`] without the zero-fill: the slices hold whatever
+    /// the last carve over the same memory left there (zeros on fresh
+    /// memory). For kernels that write every element before reading it,
+    /// where the fill would be a wasted pass over the scratch.
+    pub fn take_dirty<const N: usize>(&mut self, lens: [usize; N]) -> [&mut [T]; N] {
         let total: usize = lens.iter().sum();
         let need = self.top + total;
         if self.buf.len() < need {
@@ -96,9 +108,7 @@ impl<T: Copy + Default> Arena<T> {
         }
         let start = self.top;
         self.top = need;
-        let region = &mut self.buf[start..need];
-        region.fill(T::default());
-        let mut rest = region;
+        let mut rest = &mut self.buf[start..need];
         let mut out: [&mut [T]; N] = std::array::from_fn(|_| &mut [] as &mut [T]);
         for (slot, &len) in out.iter_mut().zip(&lens) {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
@@ -137,6 +147,22 @@ mod tests {
         assert_eq!(arena.in_use(), 0);
         let [b] = arena.take([8]);
         assert!(b.iter().all(|&v| v == 0.0), "reused scratch must be re-zeroed");
+    }
+
+    #[test]
+    fn take_dirty_keeps_previous_contents() {
+        let mut arena: Arena<f32> = Arena::new();
+        let mark = arena.mark();
+        {
+            let [a, b] = arena.take_dirty([2, 3]);
+            assert!(a.iter().chain(b.iter()).all(|&v| v == 0.0), "fresh memory is zeroed");
+            a.fill(1.0);
+            b.fill(2.0);
+        }
+        arena.release(mark);
+        let [c] = arena.take_dirty([5]);
+        assert_eq!(c, [1.0, 1.0, 2.0, 2.0, 2.0]);
+        assert_eq!(arena.in_use(), 5);
     }
 
     #[test]

@@ -45,6 +45,44 @@ fn plans_are_identical_across_runs() {
     assert_eq!(p1.transform_count(), p2.transform_count());
 }
 
+/// FNV-1a of everything GoogleNet's PBQP plan decides: every node's
+/// kernel, representations and price, and every conversion chain.
+fn googlenet_plan_hash() -> u64 {
+    let reg = Registry::new(full_library());
+    let cost = AnalyticCost::new(MachineModel::intel_haswell_like(), 1);
+    let plan = Optimizer::new(&reg, &cost).plan(&models::googlenet(), Strategy::Pbqp).unwrap();
+    let decided = format!("{:?}{:?}", plan.assignments, plan.edges);
+    decided
+        .bytes()
+        .fold(0xcbf29ce484222325, |acc, b| (acc ^ u64::from(b)).wrapping_mul(0x100000001b3))
+}
+
+#[test]
+#[ignore = "child process of plans_are_identical_across_processes"]
+fn print_googlenet_plan_hash() {
+    println!("plan-hash {:016x}", googlenet_plan_hash());
+}
+
+#[test]
+fn plans_are_identical_across_processes() {
+    // Hash-map iteration order is seeded per process, so a tie broken by
+    // it repeats within a process and only shows across processes.
+    let exe = std::env::current_exe().unwrap();
+    let child_hash = || {
+        let out = std::process::Command::new(&exe)
+            .args(["print_googlenet_plan_hash", "--exact", "--ignored", "--nocapture"])
+            .output()
+            .expect("spawns the test binary");
+        assert!(out.status.success(), "child failed: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let hash = stdout.lines().find_map(|l| l.strip_prefix("plan-hash "));
+        hash.expect("child printed its plan hash").to_owned()
+    };
+    let (first, second) = (child_hash(), child_hash());
+    assert_eq!(first, second, "GoogleNet's plan differs between two processes");
+    assert_eq!(first, format!("{:016x}", googlenet_plan_hash()), "and from this process's");
+}
+
 #[test]
 fn planning_from_a_parsed_table_matches_planning_from_the_original() {
     // The deployment story: profile once, ship the text table, plan on

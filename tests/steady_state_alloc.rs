@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pbqp_dnn::cost::{AnalyticCost, CostSource, MachineModel};
 use pbqp_dnn::graph::models::{micro_alexnet, micro_mixed, micro_resnet};
-use pbqp_dnn::graph::{ConvScenario, LayerKind, OpClass};
+use pbqp_dnn::graph::{ConvScenario, DnnGraph, Layer, LayerKind, OpClass};
 use pbqp_dnn::primitives::registry::{full_library, mixed_precision_library, Registry};
 use pbqp_dnn::primitives::{ConvAlgorithm, OpKernel, OpSpec};
 use pbqp_dnn::runtime::{Executor, Parallelism, Weights};
@@ -160,11 +160,23 @@ fn steady_state_serving_performs_zero_heap_allocations() {
     // Op-kernel scratch: an FC whose operand arrives in HWC gathers it
     // into logical order, and LRN stages its squares — both carved from
     // the schedule's workspace, never the heap. The cost source steers
-    // the (free-to-choose) FC and LRN nodes onto those layouts.
+    // the (free-to-choose) FC and LRN nodes onto those layouts, and the
+    // stride-1 convs of `winograd_chain` below onto one Winograd variant
+    // of each kind, told apart by their input channels.
+    const WINOGRAD_KINDS: [(usize, usize, &str); 4] = [
+        (8, 3, "wino2d_f43_c8"),
+        (12, 3, "wino2d_f43_hwc"),
+        (10, 5, "wino2d_f25_vf8"),
+        (6, 3, "wino1d_f23_vf4"),
+    ];
     struct Steered(AnalyticCost);
     impl CostSource for Steered {
         fn layer_cost(&self, prim: &dyn ConvAlgorithm, s: &ConvScenario) -> f64 {
-            self.0.layer_cost(prim, s)
+            let wanted = WINOGRAD_KINDS
+                .iter()
+                .find(|&&(c, k, _)| (s.c, s.k, s.stride) == (c, k, 1))
+                .is_none_or(|&(_, _, name)| prim.descriptor().name == name);
+            self.0.layer_cost(prim, s) + if wanted { 0.0 } else { 1e9 }
         }
         fn op_cost(&self, kernel: &dyn OpKernel, spec: &OpSpec) -> f64 {
             let d = kernel.descriptor();
@@ -207,6 +219,44 @@ fn steady_state_serving_performs_zero_heap_allocations() {
     assert_eq!(
         run_allocs, 0,
         "HWC fc / CHWc8 lrn plan: {run_allocs} allocations across 5 steady-state run_into calls"
+    );
+    assert_eq!(out.data(), expected.data());
+
+    // Winograd: kernel transform, tile blocks and GEMM panels all come
+    // from the workspace, for every variant kind (blocked input, HWC,
+    // 5×5, 1-D).
+    let winograd_chain = {
+        let mut g = DnnGraph::new();
+        let mut prev = g.add(Layer::new("data", LayerKind::Input { c: 8, h: 14, w: 14 }));
+        for (i, (&(c, k, _), m)) in WINOGRAD_KINDS.iter().zip([12, 10, 6, 4]).enumerate() {
+            let scenario = ConvScenario::new(c, 14, 14, 1, k, m);
+            let conv = g.add(Layer::new(format!("conv{i}"), LayerKind::Conv(scenario)));
+            g.connect(prev, conv).expect("chain");
+            prev = conv;
+        }
+        g
+    };
+    let plan = Optimizer::new(&reg, &steered).plan(&winograd_chain, Strategy::Pbqp).expect("plans");
+    for (i, &(_, _, name)) in WINOGRAD_KINDS.iter().enumerate() {
+        match &plan.assignment(winograd_chain.find(&format!("conv{i}")).unwrap()) {
+            AssignmentKind::Conv { primitive, .. } => assert_eq!(primitive, name, "conv{i}"),
+            other => panic!("conv{i}: {other:?}"),
+        }
+    }
+    let weights = Weights::random(&winograd_chain, 0x3A7);
+    let exec = Executor::new(&winograd_chain, &plan, &reg, &weights);
+    let input = Tensor::random(8, 14, 14, Layout::Chw, 0x3A8);
+    let mut out = Tensor::empty();
+    let expected = exec.run(&input, 1).expect("warmup run");
+    exec.run_into(&input, &mut out, 1).expect("warmup run_into");
+    let before = allocs();
+    for _ in 0..5 {
+        exec.run_into(&input, &mut out, 1).expect("steady run_into");
+    }
+    let run_allocs = allocs() - before;
+    assert_eq!(
+        run_allocs, 0,
+        "Winograd plan: {run_allocs} allocations across 5 steady-state run_into calls"
     );
     assert_eq!(out.data(), expected.data());
 
