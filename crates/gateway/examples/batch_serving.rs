@@ -1,28 +1,26 @@
-//! Batched serving through the gateway: one [`Gateway`] coalescing many
-//! concurrent callers into fused batch inference under a latency SLO.
+//! Batched serving through the gateway: one [`Gateway`] serving many
+//! concurrent callers, batching only what queues while its workers are
+//! busy.
 //!
 //! A serving process receives many requests for the same model. The
 //! compiler pays the PBQP solve once (and memoizes it by artifact
-//! fingerprint); the gateway admits requests into a bounded queue,
-//! coalesces whatever arrives inside the batching window into one fused
-//! [`Session::infer_batch`] call, and answers every ticket with the
-//! generation that admitted it — bit-identical to the serial reference,
-//! as always. The manual thread-per-slice pattern this example used to
-//! demonstrate is still available (the gateway is built on it), but the
-//! gateway is the front door for multi-tenant serving.
+//! fingerprint); the gateway admits requests into a bounded queue, an
+//! idle worker serves whatever is queued at once — requests that built
+//! up behind a busy worker go as one fused batch — and every ticket is
+//! answered by the generation that admitted it, bit-identical to the
+//! serial reference, as always.
 //!
 //! ```sh
-//! cargo run --release --example batch_serving
+//! cargo run --release -p pbqp-dnn-gateway --example batch_serving
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pbqp_dnn::prelude::*;
 use pbqp_dnn_gateway::{BatchConfig, Gateway, GatewayError};
 
 fn main() -> Result<(), Error> {
-    // The served model: a miniature inception module — a branching DAG,
-    // so the wavefront scheduler has real inter-op parallelism to find.
+    // The served model: a miniature inception module.
     let net = models::micro_inception();
     let weights = Weights::random(&net, 0x5EED);
 
@@ -39,23 +37,17 @@ fn main() -> Result<(), Error> {
     println!("compile: cold {cold_us:.0} µs, cached {warm_us:.1} µs ({hits} hit / {misses} miss)");
     println!("{}", model.plan());
 
-    // 2. Register the model under its artifact fingerprint. The batching
-    //    knobs are per model: a flush fires when `max_batch` requests
-    //    have coalesced or when the oldest waiter has been queued for
-    //    the window, whichever comes first — so the window is the
-    //    batching tax on p99, not a fixed delay on every request.
+    // 2. Register the model under its artifact fingerprint. The knobs
+    //    are per model: `max_batch` caps how many queued requests one
+    //    batch takes, `queue_cap` bounds admission. No request waits for
+    //    a batch to fill.
     let gateway = Gateway::with_workers(2);
-    let fp = gateway.register_with(
-        &model,
-        BatchConfig::new()
-            .with_max_batch(8)
-            .with_window(Duration::from_micros(500))
-            .with_queue_cap(64),
-    );
+    let fp = gateway.register_with(&model, BatchConfig::new().with_max_batch(8).with_queue_cap(64));
     println!("registered fingerprint {fp:#018x}");
 
-    // 3. Concurrent callers submit and block on their tickets — the
-    //    gateway coalesces across them. Here 4 caller threads each send
+    // 3. Concurrent callers submit and block on their tickets — requests
+    //    that queue behind a busy worker are batched across callers.
+    //    Here 4 caller threads each send
     //    16 requests; every response carries its serving provenance.
     let (c, h, w) = net.infer_shapes()?[0];
     let inputs: Vec<Tensor> =
@@ -82,17 +74,15 @@ fn main() -> Result<(), Error> {
     let batch_ms = t2.elapsed().as_secs_f64() * 1e3;
     println!("served {served} requests through the gateway in {batch_ms:.2} ms");
 
-    // 4. The stats ledger says how much coalescing actually happened:
-    //    the batch-size histogram, flush-cause split and exact latency
+    // 4. The stats ledger says how much batching actually happened: the
+    //    batch-size histogram, the full-batch count and exact latency
     //    percentiles — the ledger pbqp-bench's traced `gateway_open_loop`
     //    run reads for `gateway.mean_batch` and `gateway.flush_by_size_share`.
     let stats = gateway.stats(fp).expect("registered");
     println!(
-        "batches {} (by size {}, by deadline {}), mean batch {:.2}, \
-         p50 {} µs, p99 {} µs, histogram {:?}",
+        "batches {} ({} full), mean batch {:.2}, p50 {} µs, p99 {} µs, histogram {:?}",
         stats.batches,
         stats.flushed_by_size,
-        stats.flushed_by_deadline,
         stats.mean_batch_size(),
         stats.p50_latency_us,
         stats.p99_latency_us,
@@ -123,22 +113,27 @@ fn main() -> Result<(), Error> {
     println!("gateway output matches the single-request engine bit-for-bit");
 
     // 7. Backpressure is typed, not silent: past `queue_cap` the gateway
-    //    sheds with `Overloaded` instead of buffering unboundedly.
+    //    sheds with `Overloaded` instead of buffering unboundedly. The
+    //    whole burst is submitted before any ticket is awaited, so it
+    //    outruns the one worker.
     let tiny = Gateway::with_workers(1);
     tiny.register_with(&model, BatchConfig::new().with_queue_cap(1).with_max_batch(1));
-    let _held = tiny.submit(fp, inputs[0].clone()).expect("first fits");
+    let mut admitted = Vec::new();
     let mut sheds = 0;
     for input in &inputs {
         match tiny.submit(fp, input.clone()) {
+            Ok(ticket) => admitted.push(ticket),
             Err(GatewayError::Overloaded { queued, limit, .. }) => {
                 if sheds == 0 {
                     println!("backpressure: shed with Overloaded ({queued} queued, limit {limit})");
                 }
                 sheds += 1;
             }
-            Ok(ticket) => drop(ticket.wait()),
             Err(e) => panic!("unexpected error: {e}"),
         }
+    }
+    for ticket in admitted {
+        ticket.wait().expect("admitted requests are served");
     }
     assert!(sheds > 0, "the tiny queue must shed under this burst");
     assert!(gateway.health(fp).expect("registered").is_pristine());

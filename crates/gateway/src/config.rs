@@ -1,26 +1,20 @@
 //! Per-model batching knobs.
 
-use std::time::Duration;
-
-/// Per-model batching policy: how long a request may wait for company,
-/// how much company it may get, and how deep the admission queue runs.
+/// Per-model serving policy: how large a batch may grow and how deep the
+/// admission queue runs.
 ///
-/// The three knobs express one SLO trade: a larger
-/// [`window`](BatchConfig::window) or [`max_batch`](BatchConfig::max_batch)
-/// buys throughput (wider fused GEMMs, fewer per-request overheads) at
-/// the price of queuing latency, bounded by the window; a smaller
+/// No request waits for company: an idle worker serves whatever is
+/// queued at once, so a batch is whatever built up while the workers
+/// were busy. [`max_batch`](BatchConfig::max_batch) caps it, bounding
+/// per-batch latency and memory; a smaller
 /// [`queue_cap`](BatchConfig::queue_cap) sheds load earlier instead of
 /// letting latency grow without bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Most requests one flush coalesces into a single fused
+    /// Most requests one batch takes into a single fused
     /// `infer_batch_into` call. `1` disables batching — every request
-    /// flushes alone (the gateway-overhead baseline tier).
+    /// is served alone (the gateway-overhead baseline tier).
     pub max_batch: usize,
-    /// How long the first request of a batch waits for more before the
-    /// deadline flush fires — the queuing-latency half of the SLO. A
-    /// full batch flushes early without waiting the window out.
-    pub window: Duration,
     /// Admission bound: requests beyond this many waiting are rejected
     /// with [`GatewayError::Overloaded`](crate::GatewayError::Overloaded)
     /// instead of queued (backpressure, not buffering).
@@ -28,9 +22,9 @@ pub struct BatchConfig {
 }
 
 impl BatchConfig {
-    /// The defaults: batches of up to 4, a 500 µs window, 64 queued.
+    /// The defaults: batches of up to 4, 64 queued.
     pub fn new() -> BatchConfig {
-        BatchConfig { max_batch: 4, window: Duration::from_micros(500), queue_cap: 64 }
+        BatchConfig { max_batch: 4, queue_cap: 64 }
     }
 
     /// Replaces the batch-size cap (clamped to at least 1).
@@ -39,15 +33,8 @@ impl BatchConfig {
         self
     }
 
-    /// Replaces the batch window.
-    pub fn with_window(mut self, window: Duration) -> BatchConfig {
-        self.window = window;
-        self
-    }
-
     /// Replaces the admission bound (clamped to at least 1). A cap
-    /// below `max_batch` simply means batches never fill — deadline
-    /// flushes still drain the queue.
+    /// below `max_batch` also caps every batch at `queue_cap`.
     pub fn with_queue_cap(mut self, n: usize) -> BatchConfig {
         self.queue_cap = n.max(1);
         self

@@ -1,63 +1,58 @@
-//! Adaptive cross-request batching gateway: multi-tenant serving with
-//! SLO-bounded dynamic batches.
+//! Work-conserving serving gateway: multi-tenant serving whose batches
+//! form only under load.
 //!
 //! A [`Gateway`] owns a fleet of serving engines behind a model registry
 //! keyed by artifact fingerprint. Callers [`submit`](Gateway::submit)
-//! single requests and the gateway **coalesces compatible requests into
-//! dynamic batches**, flushed through the fused batch execution path
-//! (`Session::infer_batch_into` — all items' im2col patch matrices
-//! stacked into one wide GEMM), which is where cross-request batching
-//! beats per-request serving on throughput. Coalescing is bounded by a
-//! per-model SLO ([`BatchConfig`]): a batch flushes **early** the moment
-//! it reaches `max_batch`, and **by deadline** when the first request's
-//! batch window expires, so no request waits longer than the window for
-//! company. Admission is bounded too: past `queue_cap` waiting requests,
-//! submits are rejected with [`GatewayError::Overloaded`] — backpressure,
-//! not unbounded buffering.
+//! single requests. An idle worker serves whatever is queued **at once**
+//! — no request waits for company — so a batch is exactly what built up
+//! while the workers were busy: at light load every request is served
+//! alone, under saturation batches grow toward `max_batch` and run
+//! through the fused batch execution path (`Session::infer_batch_into`).
+//! Admission is bounded ([`BatchConfig`]): past `queue_cap` waiting
+//! requests, submits are rejected with [`GatewayError::Overloaded`] —
+//! backpressure, not unbounded buffering.
 //!
-//! Everything is built on std threads (no async runtime): a worker pool
-//! parks on a condvar'd job queue, and a dedicated timer thread drains a
-//! monotonic-clock deadline wheel. The timer thread only *enqueues*
-//! flush jobs — inference never runs on it, so a slow flush blocks one
-//! worker, never the wheel.
+//! Everything is built on std threads (no async runtime): the workers
+//! park on one condvar'd FIFO of model fingerprints, and a model is on it
+//! at most once. A worker takes at most `max_batch` requests of the model
+//! it popped; if more remain, it puts the model back at the end of the
+//! FIFO before executing, so models take turns and another worker can
+//! take the leftovers.
 //!
 //! # Hot swap
 //!
 //! Re-registering a model under an existing fingerprint atomically
 //! replaces the serving engine and bumps the model's **generation**.
 //! Every request is stamped with the generation current at admission and
-//! holds its version alive; a flush drains a maximal same-generation run,
-//! so batches never mix generations and in-flight requests are served —
+//! holds its version alive; a batch is a same-generation FIFO run, so
+//! batches never mix generations and in-flight requests are served —
 //! bit-exactly — by the engine that admitted them. Zero requests are
 //! dropped or double-served across a swap.
 //!
 //! # Observability
 //!
 //! [`Gateway::stats`] reports per-model admission/rejection/serve
-//! counters, flush-cause attribution, an honest batch-size histogram and
-//! exact p50/p99 latency; [`Gateway::health`] passes through the serving
-//! engine's fault-containment vitals. The `gateway.flush` failpoint
-//! ([`pbqp_dnn::faults`]) injects delays/errors/panics into the flush
-//! path for chaos testing.
+//! counters, the number of batches that left full, an honest batch-size
+//! histogram and exact p50/p99 latency; [`Gateway::health`] passes
+//! through the serving engine's fault-containment vitals. The
+//! `gateway.flush` failpoint ([`pbqp_dnn::faults`]) injects
+//! delays/errors/panics into the flush path for chaos testing.
 //!
 //! # Example
 //!
 //! ```
 //! use pbqp_dnn::prelude::*;
 //! use pbqp_dnn_gateway::{BatchConfig, Gateway};
-//! use std::time::Duration;
 //!
 //! let net = models::micro_alexnet();
 //! let weights = Weights::random(&net, 42);
 //! let model = Compiler::new(CompileOptions::new()).compile(&net, &weights).unwrap();
 //!
 //! let gateway = Gateway::new();
-//! let fp = gateway.register_with(
-//!     &model,
-//!     BatchConfig::new().with_max_batch(4).with_window(Duration::from_micros(200)),
-//! );
+//! let fp = gateway.register_with(&model, BatchConfig::new().with_max_batch(4));
 //!
-//! // Submit a burst; the gateway coalesces them into fused batches.
+//! // Submit a burst; whatever queues behind a busy worker is served as
+//! // one fused batch.
 //! let (c, h, w) = net.infer_shapes().unwrap()[0];
 //! let inputs: Vec<Tensor> =
 //!     (0..4).map(|i| Tensor::random(c, h, w, Layout::Chw, 7 + i)).collect();
@@ -83,7 +78,6 @@ mod config;
 mod error;
 mod stats;
 mod ticket;
-mod timer;
 
 pub use config::BatchConfig;
 pub use error::GatewayError;
@@ -103,7 +97,6 @@ use pbqp_dnn::{CompiledModel, Engine, Health, Session};
 
 use stats::StatsInner;
 use ticket::TicketCell;
-use timer::Deadlines;
 
 /// One registered engine generation. Requests hold their admitted
 /// version alive across a hot-swap, so the swap never drops them.
@@ -121,12 +114,13 @@ struct PendingRequest {
     admitted: Instant,
 }
 
-/// One model's admission queue plus the deadline arming sequence. A
-/// fired deadline whose seq no longer matches `armed_seq` is stale (its
-/// batch already flushed) and is dropped.
+/// One model's admission queue. `scheduled` is true while the model's
+/// fingerprint is on the job FIFO or popped by a worker that has not yet
+/// drained — so each model has at most one job, and a submit only
+/// enqueues one when `scheduled` was false.
 struct PendingQueue {
     items: VecDeque<PendingRequest>,
-    armed_seq: u64,
+    scheduled: bool,
 }
 
 /// Everything the gateway holds per registered fingerprint.
@@ -143,25 +137,12 @@ impl ModelEntry {
     }
 }
 
-/// Why a flush job was enqueued — attributed in the stats.
-#[derive(Debug, Clone, Copy)]
-enum FlushCause {
-    Size,
-    Deadline,
-}
-
-struct Job {
-    fingerprint: u64,
-    cause: FlushCause,
-}
-
-/// State shared by the gateway handle, the worker pool and the timer
-/// thread.
+/// State shared by the gateway handle and the worker pool. `jobs` is the
+/// FIFO of fingerprints of models with queued requests.
 struct Inner {
     registry: RwLock<HashMap<u64, Arc<ModelEntry>>>,
-    jobs: Mutex<VecDeque<Job>>,
+    jobs: Mutex<VecDeque<u64>>,
     jobs_cv: Condvar,
-    deadlines: Deadlines,
     shutdown: AtomicBool,
 }
 
@@ -171,7 +152,6 @@ impl Inner {
             registry: RwLock::new(HashMap::new()),
             jobs: Mutex::new(VecDeque::new()),
             jobs_cv: Condvar::new(),
-            deadlines: Deadlines::new(),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -180,9 +160,9 @@ impl Inner {
         self.registry.read().unwrap_or_else(|e| e.into_inner()).get(&fingerprint).cloned()
     }
 
-    fn enqueue(&self, job: Job) {
+    fn enqueue(&self, fingerprint: u64) {
         let mut jobs = lock_recover(&self.jobs);
-        jobs.push_back(job);
+        jobs.push_back(fingerprint);
         self.jobs_cv.notify_one();
     }
 }
@@ -200,15 +180,14 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// A gateway with the default worker pool (2 flush workers + the
-    /// timer thread).
+    /// A gateway with the default worker pool (2 workers).
     pub fn new() -> Gateway {
         Gateway::with_workers(2)
     }
 
-    /// A gateway with `workers` flush workers (clamped to at least 1)
-    /// plus the timer thread. Workers are where batches execute; more
-    /// workers overlap flushes of different models on multi-core hosts.
+    /// A gateway with `workers` worker threads (clamped to at least 1)
+    /// and no other thread. Workers are where batches execute; more
+    /// workers overlap batches on multi-core hosts.
     pub fn with_workers(workers: usize) -> Gateway {
         let inner = Arc::new(Inner::new());
         let mut threads = Vec::new();
@@ -221,13 +200,6 @@ impl Gateway {
                     .expect("spawn gateway worker"),
             );
         }
-        let timer_inner = Arc::clone(&inner);
-        threads.push(
-            std::thread::Builder::new()
-                .name("gateway-timer".to_owned())
-                .spawn(move || timer_loop(&timer_inner))
-                .expect("spawn gateway timer"),
-        );
         Gateway { inner, threads }
     }
 
@@ -261,7 +233,10 @@ impl Gateway {
                     fingerprint,
                     Arc::new(ModelEntry {
                         config,
-                        pending: Mutex::new(PendingQueue { items: VecDeque::new(), armed_seq: 0 }),
+                        pending: Mutex::new(PendingQueue {
+                            items: VecDeque::new(),
+                            scheduled: false,
+                        }),
                         current: RwLock::new(Arc::new(ModelVersion { engine, generation: 0 })),
                         stats: StatsInner::new(),
                     }),
@@ -273,9 +248,9 @@ impl Gateway {
 
     /// Submits one request for the model registered under `fingerprint`
     /// and returns its completion [`Ticket`]. The request is validated
-    /// at the door, stamped with the current generation, and coalesced
-    /// with compatible requests into the next batch flush (early at
-    /// `max_batch`, by deadline at the batch window).
+    /// at the door, stamped with the current generation, and served by
+    /// the next idle worker together with whatever else of this model
+    /// queued behind a busy one (at most `max_batch`).
     ///
     /// # Errors
     ///
@@ -295,7 +270,7 @@ impl Gateway {
             .validate_input(&input)
             .map_err(|e| GatewayError::BadRequest(e.to_string()))?;
         let cell = TicketCell::new();
-        let (flush_now, arm) = {
+        let schedule = {
             let mut pending = lock_recover(&entry.pending);
             if pending.items.len() >= entry.config.queue_cap {
                 entry.stats.reject();
@@ -312,32 +287,16 @@ impl Gateway {
                 admitted: Instant::now(),
             });
             entry.stats.admit();
-            let len = pending.items.len();
-            if len % entry.config.max_batch == 0 {
-                // A full batch is ready (or another multiple of one is
-                // backed up behind a busy worker): flush now. No
-                // deadline to arm — the batch is already leaving, and
-                // any leftover run re-arms its own window when drained.
-                (true, None)
-            } else if len == 1 {
-                // First of a new batch: open its SLO window.
-                pending.armed_seq += 1;
-                (false, Some((Instant::now() + entry.config.window, pending.armed_seq)))
-            } else {
-                (false, None)
-            }
+            !std::mem::replace(&mut pending.scheduled, true)
         };
-        if flush_now {
-            self.inner.enqueue(Job { fingerprint, cause: FlushCause::Size });
-        }
-        if let Some((at, seq)) = arm {
-            self.inner.deadlines.arm(at, fingerprint, seq);
+        if schedule {
+            self.inner.enqueue(fingerprint);
         }
         Ok(Ticket { cell })
     }
 
     /// Submit-and-wait convenience: blocks the calling thread until the
-    /// request's batch flushes.
+    /// request is served.
     ///
     /// # Errors
     ///
@@ -355,20 +314,6 @@ impl Gateway {
         let generation = version.generation;
         let engine_plan_generation = version.engine.health().plan_generation;
         Some(entry.stats.snapshot(generation, engine_plan_generation))
-    }
-
-    /// Zeroes one model's statistics counters and latency samples —
-    /// registration, pending requests and the generation counter are
-    /// untouched. Returns `false` if the fingerprint is unregistered.
-    /// Useful for separating a warmup phase from a measured one.
-    pub fn reset_stats(&self, fingerprint: u64) -> bool {
-        match self.inner.entry(fingerprint) {
-            Some(entry) => {
-                entry.stats.reset();
-                true
-            }
-            None => false,
-        }
     }
 
     /// The serving engine's fault-containment vitals for one model (the
@@ -389,8 +334,8 @@ impl Gateway {
         self.inner.registry.read().unwrap_or_else(|e| e.into_inner()).keys().copied().collect()
     }
 
-    /// Stops the worker pool and the timer thread, waits for in-flight
-    /// flushes to complete, and answers every still-queued request with
+    /// Stops the worker pool, waits for in-flight batches to complete,
+    /// and answers every still-queued request with
     /// [`GatewayError::ShuttingDown`] — nothing is dropped silently.
     /// Dropping the gateway does the same.
     pub fn shutdown(mut self) {
@@ -400,7 +345,6 @@ impl Gateway {
     fn stop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.jobs_cv.notify_all();
-        self.inner.deadlines.interrupt();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -460,54 +404,42 @@ impl SessionCache {
     }
 }
 
-/// Flush workers: park on the job queue, drain and serve batches.
+/// Workers: park on the job FIFO, take a model, serve a batch of it.
 fn worker_loop(inner: &Inner) {
     let mut cache = SessionCache::default();
     loop {
-        let job = {
+        let fingerprint = {
             let mut jobs = lock_recover(&inner.jobs);
             loop {
                 if inner.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                if let Some(job) = jobs.pop_front() {
-                    break job;
+                if let Some(fingerprint) = jobs.pop_front() {
+                    break fingerprint;
                 }
                 jobs = inner.jobs_cv.wait(jobs).unwrap_or_else(|e| e.into_inner());
             }
         };
-        flush(inner, &job, &mut cache);
+        flush(inner, fingerprint, &mut cache);
     }
 }
 
-/// The timer thread: fires due batch windows by **enqueuing** flush
-/// jobs. Inference never runs here — see the [`timer`] module docs.
-fn timer_loop(inner: &Inner) {
-    while let Some((fingerprint, seq)) = inner.deadlines.next_due(&inner.shutdown) {
-        let Some(entry) = inner.entry(fingerprint) else { continue };
-        let due = {
-            let pending = lock_recover(&entry.pending);
-            pending.armed_seq == seq && !pending.items.is_empty()
-        };
-        if due {
-            inner.enqueue(Job { fingerprint, cause: FlushCause::Deadline });
-        }
-    }
-}
-
-/// Serves one flush job: drain a maximal same-generation FIFO run (at
-/// most `max_batch`), execute it as one fused batch, fulfill the
-/// tickets. The `gateway.flush` failpoint sits on the serve side so an
-/// injected delay blocks this worker — never the deadline wheel — and
-/// an injected panic is contained to this batch's tickets.
-fn flush(inner: &Inner, job: &Job, cache: &mut SessionCache) {
-    let Some(entry) = inner.entry(job.fingerprint) else { return };
-    let (run, rearm, more) = {
+/// Serves one job: drain the model's oldest same-generation FIFO run (at
+/// most `max_batch`), put the model back on the job FIFO if requests
+/// remain (or clear `scheduled` if none do), then execute the run as one
+/// fused batch and fulfill the tickets. The `gateway.flush` failpoint
+/// sits after the drain, so an injected delay holds this worker and the
+/// run it drained — other models' jobs go to other workers — and an
+/// injected panic is contained to this batch's tickets.
+fn flush(inner: &Inner, fingerprint: u64, cache: &mut SessionCache) {
+    let Some(entry) = inner.entry(fingerprint) else { return };
+    let (run, more) = {
         let mut pending = lock_recover(&entry.pending);
-        if pending.items.is_empty() {
-            return; // a stale job; its batch already flushed
-        }
-        let generation = pending.items[0].version.generation;
+        let Some(first) = pending.items.front() else {
+            pending.scheduled = false;
+            return;
+        };
+        let generation = first.version.generation;
         let n = pending
             .items
             .iter()
@@ -515,23 +447,11 @@ fn flush(inner: &Inner, job: &Job, cache: &mut SessionCache) {
             .take(entry.config.max_batch)
             .count();
         let run: Vec<PendingRequest> = pending.items.drain(..n).collect();
-        let mut rearm = None;
-        let mut more = false;
-        if !pending.items.is_empty() {
-            // Leftovers (later arrivals or a different generation) start
-            // a fresh window; bumping the seq cancels any stale deadline
-            // still in the wheel for the batch just drained.
-            pending.armed_seq += 1;
-            rearm = Some((Instant::now() + entry.config.window, pending.armed_seq));
-            more = pending.items.len() >= entry.config.max_batch;
-        }
-        (run, rearm, more)
+        pending.scheduled = !pending.items.is_empty();
+        (run, pending.scheduled)
     };
-    if let Some((at, seq)) = rearm {
-        inner.deadlines.arm(at, job.fingerprint, seq);
-    }
     if more {
-        inner.enqueue(Job { fingerprint: job.fingerprint, cause: FlushCause::Size });
+        inner.enqueue(fingerprint);
     }
 
     let version = Arc::clone(&run[0].version);
@@ -543,7 +463,7 @@ fn flush(inner: &Inner, job: &Job, cache: &mut SessionCache) {
         metas.push((request.cell, request.admitted));
     }
     let mut outs: Vec<Tensor> = (0..batch).map(|_| Tensor::empty()).collect();
-    let session = cache.session_for(job.fingerprint, &version);
+    let session = cache.session_for(fingerprint, &version);
     let served = catch_unwind(AssertUnwindSafe(|| -> Result<(), GatewayError> {
         if let Some(faults::Injected::Error(msg)) = faults::hit(faults::GATEWAY_FLUSH) {
             return Err(GatewayError::Inference(format!("injected flush fault: {msg}")));
@@ -554,7 +474,7 @@ fn flush(inner: &Inner, job: &Job, cache: &mut SessionCache) {
     }));
     match served {
         Ok(Ok(())) => {
-            entry.stats.record_batch(batch, matches!(job.cause, FlushCause::Deadline));
+            entry.stats.record_batch(batch, batch == entry.config.max_batch);
             for ((cell, admitted), output) in metas.into_iter().zip(outs) {
                 let latency = admitted.elapsed();
                 entry.stats.record_latency_us(latency.as_micros() as u64);
@@ -573,21 +493,11 @@ fn flush(inner: &Inner, job: &Job, cache: &mut SessionCache) {
         }
         Err(panic) => {
             // The session may be mid-mutation: rebuild it next flush.
-            cache.evict(job.fingerprint);
-            let msg = panic_message(&panic);
+            cache.evict(fingerprint);
+            let msg = faults::panic_message(panic);
             for (cell, _) in metas {
                 cell.fulfill(Err(GatewayError::Inference(format!("flush panicked: {msg}"))));
             }
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }

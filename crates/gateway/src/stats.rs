@@ -1,6 +1,5 @@
-//! Per-model serving statistics: admission counters, flush-cause
-//! attribution, an honest batch-size histogram, and exact latency
-//! percentiles.
+//! Per-model serving statistics: admission counters, the full-batch
+//! count, an honest batch-size histogram, and exact latency percentiles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -19,13 +18,11 @@ pub struct ModelStats {
     pub rejected: u64,
     /// Requests served (fulfilled with a response).
     pub served: u64,
-    /// Batches flushed.
+    /// Batches served.
     pub batches: u64,
-    /// Batches flushed because they reached `max_batch` before the
-    /// window expired.
+    /// Batches that left full (`max_batch` requests): the queue had
+    /// outgrown what one batch takes.
     pub flushed_by_size: u64,
-    /// Batches flushed by the window deadline.
-    pub flushed_by_deadline: u64,
     /// `batch_histogram[n]` = batches that coalesced exactly `n`
     /// requests (`[0]` is unused). The honest record of how much
     /// coalescing actually happened at the offered load.
@@ -60,7 +57,6 @@ pub(crate) struct StatsInner {
     served: AtomicU64,
     batches: AtomicU64,
     flushed_by_size: AtomicU64,
-    flushed_by_deadline: AtomicU64,
     histogram: Mutex<Vec<u64>>,
     latencies_us: Mutex<Vec<u64>>,
 }
@@ -73,7 +69,6 @@ impl StatsInner {
             served: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             flushed_by_size: AtomicU64::new(0),
-            flushed_by_deadline: AtomicU64::new(0),
             histogram: Mutex::new(Vec::new()),
             latencies_us: Mutex::new(Vec::new()),
         }
@@ -87,13 +82,12 @@ impl StatsInner {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one flushed batch of `size` requests and its cause.
-    pub(crate) fn record_batch(&self, size: usize, by_deadline: bool) {
+    /// Records one served batch of `size` requests; `full` when it took
+    /// `max_batch`.
+    pub(crate) fn record_batch(&self, size: usize, full: bool) {
         self.served.fetch_add(size as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
-        if by_deadline {
-            self.flushed_by_deadline.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if full {
             self.flushed_by_size.fetch_add(1, Ordering::Relaxed);
         }
         let mut histogram = self.histogram.lock().unwrap_or_else(|e| e.into_inner());
@@ -110,19 +104,6 @@ impl StatsInner {
         }
     }
 
-    /// Zeroes every counter and sample (the registration itself — and
-    /// the generation — are not stats and are untouched).
-    pub(crate) fn reset(&self) {
-        self.admitted.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.served.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.flushed_by_size.store(0, Ordering::Relaxed);
-        self.flushed_by_deadline.store(0, Ordering::Relaxed);
-        self.histogram.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.latencies_us.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-
     pub(crate) fn snapshot(&self, generation: u64, engine_plan_generation: u64) -> ModelStats {
         let histogram = self.histogram.lock().unwrap_or_else(|e| e.into_inner()).clone();
         let mut lat = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner()).clone();
@@ -133,7 +114,6 @@ impl StatsInner {
             served: self.served.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             flushed_by_size: self.flushed_by_size.load(Ordering::Relaxed),
-            flushed_by_deadline: self.flushed_by_deadline.load(Ordering::Relaxed),
             batch_histogram: histogram,
             p50_latency_us: percentile(&lat, 0.50),
             p99_latency_us: percentile(&lat, 0.99),
@@ -169,14 +149,13 @@ mod tests {
     #[test]
     fn histogram_tracks_batch_sizes_and_causes() {
         let stats = StatsInner::new();
-        stats.record_batch(4, false);
-        stats.record_batch(4, false);
-        stats.record_batch(1, true);
+        stats.record_batch(4, true);
+        stats.record_batch(4, true);
+        stats.record_batch(1, false);
         let snap = stats.snapshot(3, 2);
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.served, 9);
         assert_eq!(snap.flushed_by_size, 2);
-        assert_eq!(snap.flushed_by_deadline, 1);
         assert_eq!(snap.batch_histogram[4], 2);
         assert_eq!(snap.batch_histogram[1], 1);
         assert_eq!(snap.generation, 3);

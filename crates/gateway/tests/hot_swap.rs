@@ -50,13 +50,8 @@ fn responses_stay_bit_exact_to_their_admitted_generation_across_swaps() {
         .collect();
 
     let gateway = Gateway::with_workers(2);
-    gateway.register_with(
-        &generations[0],
-        BatchConfig::new()
-            .with_max_batch(4)
-            .with_window(Duration::from_micros(300))
-            .with_queue_cap(4096),
-    );
+    gateway
+        .register_with(&generations[0], BatchConfig::new().with_max_batch(4).with_queue_cap(4096));
 
     // Open-loop load from a submitter thread; swaps land from this
     // thread at fixed intervals while requests are in flight.

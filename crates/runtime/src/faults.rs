@@ -86,8 +86,8 @@ pub const SCHEDULE_COMPILE: &str = "schedule.compile";
 pub const ARTIFACT_READ: &str = "artifact.read";
 /// The serving gateway's batch flush, evaluated on the worker thread
 /// just before a coalesced batch executes — `delay(ms)` here models a
-/// slow flush (the chaos suite proves it cannot stall the timer wheel
-/// or breach backpressure bounds), `error`/`panic` model a flush that
+/// slow flush (the chaos suite proves it cannot starve other models or
+/// breach backpressure bounds), `error`/`panic` model a flush that
 /// fails after requests were admitted.
 pub const GATEWAY_FLUSH: &str = "gateway.flush";
 /// The autotuner's background re-solve, evaluated off the serving path
