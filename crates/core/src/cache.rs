@@ -278,7 +278,7 @@ mod tests {
         // Wall-clock profiling is not a pure function: never memoized.
         let measured = MeasuredCost::new(1, 1).with_scale(8);
         let opt = Optimizer::new(&reg, &measured);
-        let net = models::alexnet();
+        let net = models::micro_alexnet();
         let cache = PlanCache::new();
         let a = cache.plan(&opt, &net, Strategy::Sum2d).unwrap();
         let b = cache.plan(&opt, &net, Strategy::Sum2d).unwrap();

@@ -22,10 +22,11 @@ use pbqp_dnn_tensor::{DType, Repr};
 ///
 /// let dt = DtGraph::standard();
 /// let table = dt.shortest_paths(|_t| 1.0); // unit edge costs
-/// // WCH → CHW has no direct routine but a 3-hop chain exists.
-/// let (wch, chw) = (Repr::f32(Layout::Wch), Repr::f32(Layout::Chw));
-/// assert_eq!(table.cost(wch, chw), 3.0);
-/// assert_eq!(table.path(wch, chw).unwrap().len(), 3);
+/// // CHWc8 → HWC has no direct routine but a 2-hop chain exists.
+/// let (chw8, hwc) = (Repr::f32(Layout::Chw8), Repr::f32(Layout::Hwc));
+/// assert_eq!(table.cost(chw8, hwc), 2.0);
+/// assert_eq!(table.path(chw8, hwc).unwrap().len(), 2);
+/// let chw = Repr::f32(Layout::Chw);
 /// // Entering the int8 subgraph is one quantize edge.
 /// assert_eq!(table.cost(chw, Repr::i8(Layout::Chw)), 1.0);
 /// ```

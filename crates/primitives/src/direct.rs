@@ -34,8 +34,6 @@ pub(crate) enum DirectVariant {
     Strided,
     /// Reads CHW, fuses the layout transform by writing HWC directly.
     FusedChwHwc,
-    /// `W, H, C, M` loop nest over WHC.
-    WhcNest,
     /// HWC with an 8-wide channel-chunked inner accumulator.
     HwcVec8,
 }
@@ -56,7 +54,6 @@ impl DirectConv {
             Blocked4 => (Layout::Chw4, Layout::Chw4, 4),
             Blocked8 => (Layout::Chw8, Layout::Chw8, 8),
             FusedChwHwc => (Layout::Chw, Layout::Hwc, 1),
-            WhcNest => (Layout::Whc, Layout::Whc, 1),
             HwcVec8 => (Layout::Hwc, Layout::Hwc, 8),
         };
         let quality = match variant {
@@ -73,7 +70,6 @@ impl DirectConv {
             Blocked4 | Blocked8 => 0.40,
             Strided => 0.42,
             FusedChwHwc => 0.29,
-            WhcNest => 0.24,
             HwcVec8 => 0.35,
         };
         DirectConv {
@@ -140,7 +136,6 @@ impl ConvAlgorithm for DirectConv {
             }
             DirectVariant::Strided => strided(input, kernel, s, threads, out),
             DirectVariant::FusedChwHwc => fused_chw_hwc(input, kernel, s, out),
-            DirectVariant::WhcNest => whc_nest(input, kernel, s, out),
             DirectVariant::HwcVec8 => hwc_vec8(input, kernel, s, out),
         }
         Ok(())
@@ -493,27 +488,6 @@ fn fused_chw_hwc(input: &Tensor, kernel: &KernelTensor, s: &ConvScenario, out: &
     }
 }
 
-fn whc_nest(input: &Tensor, kernel: &KernelTensor, s: &ConvScenario, out: &mut Tensor) {
-    let (oh, ow) = (s.out_h(), s.out_w());
-    for x in 0..ow {
-        for y in 0..oh {
-            for m in 0..s.m {
-                let mut acc = 0.0f32;
-                for c in 0..s.c {
-                    for i in 0..s.k {
-                        let iy = (y * s.stride + i) as isize - s.pad as isize;
-                        for j in 0..s.k {
-                            let ix = (x * s.stride + j) as isize - s.pad as isize;
-                            acc += padded_at(input, c, iy, ix) * kernel.at(m, c, i, j);
-                        }
-                    }
-                }
-                out.set(m, y, x, acc);
-            }
-        }
-    }
-}
-
 fn hwc_vec8(input: &Tensor, kernel: &KernelTensor, s: &ConvScenario, out: &mut Tensor) {
     let (oh, ow) = (s.out_h(), s.out_w());
     let (_, h, w) = input.dims();
@@ -574,7 +548,6 @@ pub(crate) fn all() -> Vec<Box<dyn ConvAlgorithm>> {
         mk("direct_chw8_vf8", Blocked8),
         mk("direct_strided", Strided),
         mk("direct_fused_chw_hwc", FusedChwHwc),
-        mk("direct_whc", WhcNest),
         mk("direct_hwc_vec8", HwcVec8),
     ]
 }

@@ -1,7 +1,7 @@
 //! f32 implementations of the non-convolution operators, plus the
 //! [`OpKernel`] wrappers the registry exposes as candidate sets.
 //!
-//! Every operator has **one strided body** that serves all eight layouts.
+//! Every operator has **one strided body** that serves all five layouts.
 //! A layout is an affine map — `offset = (c / B)·s_cb + c % B + h·s_h +
 //! w·s_w`, see [`Strides`] — so a body hoists the strides once per call
 //! and then works on the raw storage slices: it produces its output front
@@ -23,7 +23,7 @@
 //! contiguous stream and is read exactly once. The operand is used in
 //! place when its storage order is the logical `(c, h, w)` order and is
 //! otherwise gathered once into workspace scratch, so the result is
-//! bit-identical across all eight input layouts.
+//! bit-identical across all five input layouts.
 //!
 //! Every routine writes into a recycled output tensor and takes any
 //! scratch from the caller's [`Workspace`] — the zero-allocation path the

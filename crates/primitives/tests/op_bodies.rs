@@ -15,7 +15,7 @@
 //! Tolerances: relu, pool, concat, dropout, add and softmax are bit-exact
 //! (no reassociation); LRN is within 4 ulp (`sqrt·sqrt∘sqrt` against the
 //! oracle's `powf`); FC is within `1e-5 · Σ|xᵢwᵢ|` of the oracle's
-//! sequential sum and bit-identical across the eight input layouts.
+//! sequential sum and bit-identical across the five input layouts.
 
 use pbqp_dnn_graph::{pool_out_dim, LayerKind, OpClass, PoolKind};
 use pbqp_dnn_primitives::reference::{
@@ -49,7 +49,7 @@ fn int8_kernel(reg: &Registry, class: OpClass, layout: Layout) -> &dyn OpKernel 
 /// A recycled f32 output: wrong shape, wrong layout, every element NaN.
 fn dirty_f32() -> Tensor {
     let mut t = Tensor::empty();
-    t.reuse_as(7, 13, 11, Layout::Whc);
+    t.reuse_as(7, 13, 11, Layout::Hcw);
     t.data_mut().fill(f32::NAN);
     t
 }

@@ -125,15 +125,12 @@ impl Repr {
     pub const I8_LAYOUTS: [Layout; 2] = [Layout::Chw, Layout::Hwc];
 
     /// Every representation in the selection space, in a stable order:
-    /// the eight f32 layouts (same order as [`Layout::ALL`]) followed by
-    /// the quantized layouts.
-    pub const ALL: [Repr; 10] = [
+    /// every f32 layout (same order as [`Layout::ALL`]) followed by the
+    /// quantized layouts.
+    pub const ALL: [Repr; 7] = [
         Repr { layout: Layout::Chw, dtype: DType::F32 },
-        Repr { layout: Layout::Cwh, dtype: DType::F32 },
         Repr { layout: Layout::Hcw, dtype: DType::F32 },
         Repr { layout: Layout::Hwc, dtype: DType::F32 },
-        Repr { layout: Layout::Wch, dtype: DType::F32 },
-        Repr { layout: Layout::Whc, dtype: DType::F32 },
         Repr { layout: Layout::Chw4, dtype: DType::F32 },
         Repr { layout: Layout::Chw8, dtype: DType::F32 },
         Repr { layout: Layout::Chw, dtype: DType::I8 },
@@ -193,8 +190,8 @@ mod tests {
         let ids: HashSet<usize> = Repr::ALL.iter().map(|r| r.index()).collect();
         assert_eq!(ids.len(), Repr::ALL.len());
         assert_eq!(Repr::f32(Layout::Chw).index(), 0);
-        assert_eq!(Repr::i8(Layout::Chw).index(), 8);
-        assert_eq!(Repr::i8(Layout::Hwc).index(), 9);
+        assert_eq!(Repr::i8(Layout::Chw).index(), 5);
+        assert_eq!(Repr::i8(Layout::Hwc).index(), 6);
     }
 
     #[test]

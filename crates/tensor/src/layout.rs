@@ -5,7 +5,7 @@ use crate::TensorError;
 
 /// Physical memory layout of a `(c, h, w)` feature-map tensor.
 ///
-/// The six permutation layouts store the three logical dimensions in the
+/// The three permutation layouts store the three logical dimensions in the
 /// named order, outermost first; e.g. [`Layout::Hwc`] stores rows outermost
 /// and channels innermost (the "channels-last" layout). The blocked layouts
 /// [`Layout::Chw4`] and [`Layout::Chw8`] pad the channel count up to a
@@ -20,22 +20,16 @@ use crate::TensorError;
 ///
 /// assert_eq!(Layout::Hwc.to_string(), "HWC");
 /// assert_eq!("CHWc8".parse::<Layout>().unwrap(), Layout::Chw8);
-/// assert_eq!(Layout::ALL.len(), 8);
+/// assert_eq!(Layout::ALL.len(), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Layout {
     /// Channel-major planar layout (`C × H × W`), Caffe's canonical layout.
     Chw,
-    /// `C × W × H`: channel-major with transposed spatial plane.
-    Cwh,
     /// `H × C × W`: row-major over channel strips.
     Hcw,
     /// `H × W × C`: channels-last (interleaved) layout.
     Hwc,
-    /// `W × C × H`: column-major over channel strips.
-    Wch,
-    /// `W × H × C`: column-major channels-last layout.
-    Whc,
     /// Channel-blocked `[C/4][H][W][4]` layout for 4-lane vector kernels.
     Chw4,
     /// Channel-blocked `[C/8][H][W][8]` layout for 8-lane vector kernels.
@@ -47,20 +41,8 @@ impl Layout {
     ///
     /// The order is used to index the data-layout transformation graph, so
     /// it must not change between runs.
-    pub const ALL: [Layout; 8] = [
-        Layout::Chw,
-        Layout::Cwh,
-        Layout::Hcw,
-        Layout::Hwc,
-        Layout::Wch,
-        Layout::Whc,
-        Layout::Chw4,
-        Layout::Chw8,
-    ];
-
-    /// The three plain permutation layouts used by published convolution
-    /// algorithms (§5.3 of the paper): `CHW`, `HCW` and `HWC`.
-    pub const PRIMARY: [Layout; 3] = [Layout::Chw, Layout::Hcw, Layout::Hwc];
+    pub const ALL: [Layout; 5] =
+        [Layout::Chw, Layout::Hcw, Layout::Hwc, Layout::Chw4, Layout::Chw8];
 
     /// Stable small integer id of this layout (its index in [`Layout::ALL`]).
     pub fn index(self) -> usize {
@@ -105,11 +87,8 @@ impl Layout {
         debug_assert!(c < dims_c && h < dims_h && w < dims_w);
         match self {
             Layout::Chw => (c * dims_h + h) * dims_w + w,
-            Layout::Cwh => (c * dims_w + w) * dims_h + h,
             Layout::Hcw => (h * dims_c + c) * dims_w + w,
             Layout::Hwc => (h * dims_w + w) * dims_c + c,
-            Layout::Wch => (w * dims_c + c) * dims_h + h,
-            Layout::Whc => (w * dims_h + h) * dims_c + c,
             Layout::Chw4 => {
                 let cb = dims_c.div_ceil(4);
                 debug_assert!(c / 4 < cb);
@@ -124,7 +103,7 @@ impl Layout {
     }
 
     /// The strides of a `dims` tensor stored in this layout — the one
-    /// affine form all eight layouts share (see [`Strides`]). Kernels hoist
+    /// affine form all five layouts share (see [`Strides`]). Kernels hoist
     /// this out of their loops instead of calling [`Layout::offset`] (a
     /// `match` on the layout) per element.
     pub fn strides(self, dims: (usize, usize, usize)) -> Strides {
@@ -132,11 +111,8 @@ impl Layout {
         let block = self.channel_block();
         let (cb, sh, sw) = match self {
             Layout::Chw => (h * w, w, 1),
-            Layout::Cwh => (h * w, 1, h),
             Layout::Hcw => (w, c * w, 1),
             Layout::Hwc => (1, w * c, c),
-            Layout::Wch => (h, 1, c * h),
-            Layout::Whc => (1, c, h * c),
             Layout::Chw4 | Layout::Chw8 => (h * w * block, w * block, block),
         };
         Strides { dims, block, cb, h: sh, w: sw }
@@ -146,11 +122,8 @@ impl Layout {
     pub fn name(self) -> &'static str {
         match self {
             Layout::Chw => "CHW",
-            Layout::Cwh => "CWH",
             Layout::Hcw => "HCW",
             Layout::Hwc => "HWC",
-            Layout::Wch => "WCH",
-            Layout::Whc => "WHC",
             Layout::Chw4 => "CHWc4",
             Layout::Chw8 => "CHWc8",
         }
@@ -287,7 +260,7 @@ mod tests {
         let ids: HashSet<usize> = Layout::ALL.iter().map(|l| l.index()).collect();
         assert_eq!(ids.len(), Layout::ALL.len());
         assert_eq!(Layout::Chw.index(), 0);
-        assert_eq!(Layout::Chw8.index(), 7);
+        assert_eq!(Layout::Chw8.index(), 4);
     }
 
     #[test]

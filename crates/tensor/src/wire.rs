@@ -533,8 +533,11 @@ mod tests {
             assert!(a.is_err() || b.is_err(), "prefix {cut} decoded fully");
         }
         // Out-of-range codes are corrupt, not panics.
-        let mut r = WireReader::new(&[200]);
-        assert!(matches!(get_layout(&mut r), Err(WireError::Corrupt(_))));
+        for code in [Layout::ALL.len() as u8, 200] {
+            let bytes = [code];
+            let mut r = WireReader::new(&bytes);
+            assert!(matches!(get_layout(&mut r), Err(WireError::Corrupt(_))), "code {code}");
+        }
         let mut r = WireReader::new(&[9]);
         assert!(matches!(get_dtype(&mut r), Err(WireError::Corrupt(_))));
         let mut r = WireReader::new(&[250]);
@@ -542,8 +545,8 @@ mod tests {
         // An unregistered layout pair cannot decode as a transform.
         let mut buf = Vec::new();
         put_u8(&mut buf, 0);
-        put_layout(&mut buf, Layout::Wch);
-        put_layout(&mut buf, Layout::Chw);
+        put_layout(&mut buf, Layout::Chw8);
+        put_layout(&mut buf, Layout::Hwc);
         let mut r = WireReader::new(&buf);
         assert!(matches!(get_repr_transform(&mut r), Err(WireError::Corrupt(_))));
         // A huge declared length fails as truncation, not as an OOM

@@ -29,7 +29,7 @@ use pbqp_dnn::tensor::Layout;
 use pbqp_dnn::Error;
 
 fn main() -> Result<(), Error> {
-    let planar = [Layout::Chw, Layout::Cwh, Layout::Hcw, Layout::Chw4, Layout::Chw8];
+    let planar = [Layout::Chw, Layout::Hcw, Layout::Chw4, Layout::Chw8];
     let lib_of = |layout: Layout| if planar.contains(&layout) { "A" } else { "B" };
 
     // Library A: planar routines, but no fast-convolution algorithms (a

@@ -43,9 +43,11 @@
 //! **Version history:** v1 encoded non-conv layers as layout-only
 //! zero-cost "dummy" assignments. v2's plan section carries full
 //! operator assignments (op kernel + `Repr` pair + cost) for every
-//! non-conv node, plus the `Add` layer kind — v1 artifacts are refused
-//! with [`ArtifactError::UnsupportedVersion`] (a clean, versioned error,
-//! never a misparse), and serving hosts should recompile from the model.
+//! non-conv node, plus the `Add` layer kind. v3 shrank the layout set
+//! from eight to five, so every layout and repr tag after `CHW` moved.
+//! Older artifacts are refused with [`ArtifactError::UnsupportedVersion`]
+//! (a clean, versioned error, never a misparse), and serving hosts should
+//! recompile from the model.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -66,9 +68,11 @@ pub const MAGIC: [u8; 8] = *b"PBQPDNN\0";
 
 /// The current (and only supported) artifact format version. Bumped to 2
 /// when the plan wire section started encoding non-conv operator
-/// assignments (first-class operator selection); v1 artifacts are
-/// rejected with a versioned error.
-pub const FORMAT_VERSION: u32 = 2;
+/// assignments (first-class operator selection), and to 3 when the layout
+/// set shrank from eight to five (layout and repr tags are indices into
+/// `Layout::ALL` / `Repr::ALL`); older artifacts are rejected with a
+/// versioned error.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Byte offset of the header's stream checksum (everything before it,
 /// plus the body after it, is what the checksum covers).

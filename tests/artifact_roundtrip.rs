@@ -142,43 +142,51 @@ fn bad_magic_and_wrong_version_are_rejected() {
 #[test]
 fn v1_header_artifacts_are_refused_with_the_version_error() {
     // Format v1 encoded non-conv layers as layout-only dummy
-    // assignments; v2's plan section is incompatible (op-kernel
-    // assignments, `Add` layers). A v1-header artifact must be refused
-    // with the *versioned* error — never a panic, and never a silent
-    // misparse into a wrong model — even when everything else about the
-    // stream (magic, checksum, body framing) looks perfectly valid.
-    assert_eq!(pbqp_dnn::FORMAT_VERSION, 2, "bump this fixture alongside the format");
+    // assignments; v2 numbered eight layouts, so its layout and repr tags
+    // mean other layouts under v3's five. An older-header artifact must
+    // be refused with the *versioned* error — never a panic, and never a
+    // silent misparse into a wrong model — even when everything else
+    // about the stream (magic, checksum, body framing) looks perfectly
+    // valid.
+    assert_eq!(pbqp_dnn::FORMAT_VERSION, 3, "bump this fixture alongside the format");
     let net = models::micro_resnet();
     let model = Compiler::new(CompileOptions::new().mixed_precision(true))
         .compile(&net, &Weights::random(&net, 7))
         .unwrap();
-    let mut v1 = save_bytes(&model);
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for found in [1u32, 2] {
+        let mut old = save_bytes(&model);
+        old[8..12].copy_from_slice(&found.to_le_bytes());
 
-    // With a stale checksum the version gate still fires first…
-    let err = CompiledModel::load(&mut v1.as_slice()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            Error::Artifact(ArtifactError::UnsupportedVersion { found: 1, supported: 2 })
-        ),
-        "stale-checksum v1 header: got {err}"
-    );
+        // With a stale checksum the version gate still fires first…
+        let err = CompiledModel::load(&mut old.as_slice()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Artifact(ArtifactError::UnsupportedVersion { found: f, supported: 3 })
+                    if f == found
+            ),
+            "stale-checksum v{found} header: got {err}"
+        );
 
-    // …and a checksum-consistent v1 stream is refused by the version
-    // check itself, proving rejection does not ride on the checksum.
-    refresh_checksum(&mut v1);
-    let err = CompiledModel::load(&mut v1.as_slice()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            Error::Artifact(ArtifactError::UnsupportedVersion { found: 1, supported: 2 })
-        ),
-        "checksum-valid v1 header: got {err}"
-    );
-    // The error message names both versions for the operator.
-    let msg = err.to_string();
-    assert!(msg.contains('1') && msg.contains('2'), "unhelpful version error: {msg}");
+        // …and a checksum-consistent stream is refused by the version
+        // check itself, proving rejection does not ride on the checksum.
+        refresh_checksum(&mut old);
+        let err = CompiledModel::load(&mut old.as_slice()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Artifact(ArtifactError::UnsupportedVersion { found: f, supported: 3 })
+                    if f == found
+            ),
+            "checksum-valid v{found} header: got {err}"
+        );
+        // The error message names both versions for the operator.
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&found.to_string()) && msg.contains('3'),
+            "unhelpful version error: {msg}"
+        );
+    }
 }
 
 /// Rewrites the header's stream checksum to match the (possibly
