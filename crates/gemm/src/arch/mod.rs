@@ -27,6 +27,13 @@
 //!   mul-then-add sequence as the scalar kernel and matches it bit for
 //!   bit. Within one process the dispatch decision is stable, so serial,
 //!   wavefront and batched execution remain bit-identical to each other.
+//! * **The packed f32 GEMM has one summation order per element**,
+//!   independent of the register block, the row blocking and the thread
+//!   count: C is scaled by β first (zeroed for β = 0); then for each
+//!   slab of at most 256 depth steps, in ascending order, an accumulator
+//!   starts from zero, takes `acc = a·b + acc` for every step of the
+//!   slab in order (one fused rounding on AVX2, mul-then-add elsewhere),
+//!   and is added to C. A unit test pins this bit for bit on every ISA.
 //! * **[`Microkernel::f32_dot`] defines its own reference order**, as the
 //!   int8 tiers did: [`F32_DOT_LANES`] (= 32) virtual lanes — lane `l`
 //!   accumulates elements `l`, `l + 32`, `l + 64`, … by multiply-then-add
@@ -63,11 +70,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Row height of the f32 panel microkernel (A panels are packed `MR`
-/// tall).
-pub const F32_MR: usize = 4;
+/// tall). With [`F32_NR`] it forms the BLIS Haswell sgemm block: 6 rows
+/// × 2 eight-lane vectors = 12 AVX2 accumulators, plus two B vectors
+/// and one broadcast — 15 of the 16 ymm registers.
+pub const F32_MR: usize = 6;
 /// Column width of the f32 panel microkernel (B panels are packed `NR`
 /// wide).
-pub const F32_NR: usize = 8;
+pub const F32_NR: usize = 16;
 /// Row height of the int8 panel microkernel.
 pub const I8_MR: usize = 4;
 /// Column width of the int8 panel microkernel; B panels are packed in
@@ -187,10 +196,11 @@ pub trait Microkernel: Send + Sync {
     fn isa(&self) -> Isa;
 
     /// f32 panel kernel: `C[r0.., j0..] += A_panel · B_panel` for a
-    /// [`F32_MR`]`×`[`F32_NR`] register block. `a_panel` is packed `MR`
-    /// tall (`pc × MR` elements), `b_panel` `NR` wide (`pc × NR`); `rh ≤
-    /// MR` rows and `jw ≤ NR` columns are stored into row-major `c` with
-    /// row stride `n`.
+    /// [`F32_MR`]`×`[`F32_NR`] (6×16) register block, accumulated from
+    /// zero over the `pc` depth steps in order and then added to C.
+    /// `a_panel` is packed `MR` tall (`pc × MR` elements), `b_panel` `NR`
+    /// wide (`pc × NR`); `rh ≤ MR` rows and `jw ≤ NR` columns are stored
+    /// into row-major `c` with row stride `n`.
     fn f32_panel(
         &self,
         a_panel: &[f32],

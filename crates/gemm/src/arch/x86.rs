@@ -43,9 +43,10 @@ impl Microkernel for Avx2Kernel {
         j0: usize,
         jw: usize,
     ) {
-        debug_assert!(a_panel.len() >= pc * F32_MR && b_panel.len() >= pc * F32_NR);
+        assert!(a_panel.len() >= pc * F32_MR && b_panel.len() >= pc * F32_NR, "short f32 panel");
         // SAFETY: this kernel is only reachable through the registry,
-        // which refuses to hand it out unless AVX2+FMA are present.
+        // which refuses to hand it out unless AVX2+FMA are present; the
+        // panel lengths were just asserted.
         unsafe { f32_panel_avx2(a_panel, b_panel, c, n, pc, r0, rh, j0, jw) }
     }
 
@@ -84,6 +85,14 @@ impl Microkernel for Avx2Kernel {
     }
 }
 
+/// `F32_MR` rows × `F32_NR / 8` vectors of accumulators (6 × 2 = 12
+/// ymm registers); each depth step loads the B vectors once and
+/// broadcasts one A element per row.
+///
+/// # Safety
+///
+/// Requires AVX2 and FMA, `a_panel.len() >= pc · F32_MR` and
+/// `b_panel.len() >= pc · F32_NR`.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn f32_panel_avx2(
@@ -97,24 +106,31 @@ unsafe fn f32_panel_avx2(
     j0: usize,
     jw: usize,
 ) {
-    let mut acc = [_mm256_setzero_ps(); F32_MR];
+    const V: usize = F32_NR / 8;
+    let mut acc = [[_mm256_setzero_ps(); V]; F32_MR];
     let ap = a_panel.as_ptr();
     let bp = b_panel.as_ptr();
     for p in 0..pc {
-        let b = _mm256_loadu_ps(bp.add(p * F32_NR));
-        for (r, slot) in acc.iter_mut().enumerate() {
+        let b: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(bp.add(p * F32_NR + 8 * v)));
+        for (r, row) in acc.iter_mut().enumerate() {
             let av = _mm256_set1_ps(*ap.add(p * F32_MR + r));
-            *slot = _mm256_fmadd_ps(av, b, *slot);
+            for (slot, &bv) in row.iter_mut().zip(&b) {
+                *slot = _mm256_fmadd_ps(av, bv, *slot);
+            }
         }
     }
-    for r in 0..rh {
+    for (r, row) in acc.iter().enumerate().take(rh) {
         let c_row = &mut c[(r0 + r) * n + j0..(r0 + r) * n + j0 + jw];
         if jw == F32_NR {
-            let cur = _mm256_loadu_ps(c_row.as_ptr());
-            _mm256_storeu_ps(c_row.as_mut_ptr(), _mm256_add_ps(cur, acc[r]));
+            for (v, &a) in row.iter().enumerate() {
+                let cp = c_row.as_mut_ptr().add(8 * v);
+                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), a));
+            }
         } else {
             let mut spill = [0.0f32; F32_NR];
-            _mm256_storeu_ps(spill.as_mut_ptr(), acc[r]);
+            for (v, &a) in row.iter().enumerate() {
+                _mm256_storeu_ps(spill.as_mut_ptr().add(8 * v), a);
+            }
             for (cv, &av) in c_row.iter_mut().zip(spill.iter()) {
                 *cv += av;
             }
@@ -268,7 +284,9 @@ impl Microkernel for Sse2Kernel {
         j0: usize,
         jw: usize,
     ) {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
+        assert!(a_panel.len() >= pc * F32_MR && b_panel.len() >= pc * F32_NR, "short f32 panel");
+        // SAFETY: SSE2 is part of the x86-64 baseline; the panel lengths
+        // were just asserted.
         unsafe { f32_panel_sse2(a_panel, b_panel, c, n, pc, r0, rh, j0, jw) }
     }
 
@@ -295,6 +313,12 @@ impl Microkernel for Sse2Kernel {
     }
 }
 
+/// `F32_MR` rows × `F32_NR / 4` quads of accumulators.
+///
+/// # Safety
+///
+/// Requires SSE2, `a_panel.len() >= pc · F32_MR` and
+/// `b_panel.len() >= pc · F32_NR`.
 #[target_feature(enable = "sse2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn f32_panel_sse2(
@@ -308,31 +332,33 @@ unsafe fn f32_panel_sse2(
     j0: usize,
     jw: usize,
 ) {
-    // Two 4-lane halves per row: mul then add, the exact rounding
-    // sequence of the scalar kernel — bit-identical to it.
-    let mut acc = [[_mm_setzero_ps(); 2]; F32_MR];
+    // Mul then add, the exact rounding sequence of the scalar kernel —
+    // bit-identical to it.
+    const Q: usize = F32_NR / 4;
+    let mut acc = [[_mm_setzero_ps(); Q]; F32_MR];
     let ap = a_panel.as_ptr();
     let bp = b_panel.as_ptr();
     for p in 0..pc {
-        let b_lo = _mm_loadu_ps(bp.add(p * F32_NR));
-        let b_hi = _mm_loadu_ps(bp.add(p * F32_NR + 4));
-        for (r, slot) in acc.iter_mut().enumerate() {
+        let b: [__m128; Q] = std::array::from_fn(|q| _mm_loadu_ps(bp.add(p * F32_NR + 4 * q)));
+        for (r, row) in acc.iter_mut().enumerate() {
             let av = _mm_set1_ps(*ap.add(p * F32_MR + r));
-            slot[0] = _mm_add_ps(slot[0], _mm_mul_ps(av, b_lo));
-            slot[1] = _mm_add_ps(slot[1], _mm_mul_ps(av, b_hi));
+            for (slot, &bq) in row.iter_mut().zip(&b) {
+                *slot = _mm_add_ps(*slot, _mm_mul_ps(av, bq));
+            }
         }
     }
-    for r in 0..rh {
+    for (r, row) in acc.iter().enumerate().take(rh) {
         let c_row = &mut c[(r0 + r) * n + j0..(r0 + r) * n + j0 + jw];
         if jw == F32_NR {
-            let cur_lo = _mm_loadu_ps(c_row.as_ptr());
-            let cur_hi = _mm_loadu_ps(c_row.as_ptr().add(4));
-            _mm_storeu_ps(c_row.as_mut_ptr(), _mm_add_ps(cur_lo, acc[r][0]));
-            _mm_storeu_ps(c_row.as_mut_ptr().add(4), _mm_add_ps(cur_hi, acc[r][1]));
+            for (q, &a) in row.iter().enumerate() {
+                let cp = c_row.as_mut_ptr().add(4 * q);
+                _mm_storeu_ps(cp, _mm_add_ps(_mm_loadu_ps(cp), a));
+            }
         } else {
             let mut spill = [0.0f32; F32_NR];
-            _mm_storeu_ps(spill.as_mut_ptr(), acc[r][0]);
-            _mm_storeu_ps(spill.as_mut_ptr().add(4), acc[r][1]);
+            for (q, &a) in row.iter().enumerate() {
+                _mm_storeu_ps(spill.as_mut_ptr().add(4 * q), a);
+            }
             for (cv, &av) in c_row.iter_mut().zip(spill.iter()) {
                 *cv += av;
             }

@@ -10,8 +10,10 @@
 //!
 //! * **Naive** — textbook triple loop, the correctness reference.
 //! * **Blocked** — cache-blocked `i k j` loop nest.
-//! * **Packed** — panel-packing kernel with an unrolled 4×8 micro-kernel,
-//!   the fastest for the matrix shapes produced by im2col.
+//! * **Packed** — panel-packing kernel with a 6×16 register-blocked
+//!   micro-kernel (twelve 8-lane FMA chains on AVX2), the fastest for the
+//!   matrix shapes produced by im2col. It reads transposed operands while
+//!   packing, so no `Trans::T` call materializes a transpose.
 //!
 //! # Example
 //!
@@ -50,7 +52,9 @@ pub enum GemmKind {
     Naive,
     /// Cache-blocked `i k j` loop nest.
     Blocked,
-    /// Panel-packed kernel with a 4×8 micro-kernel.
+    /// Panel-packed kernel with a 6×16 micro-kernel
+    /// ([`arch::F32_MR`] × [`arch::F32_NR`]); reads `Trans::T` operands
+    /// while packing them.
     #[default]
     Packed,
 }
@@ -73,8 +77,12 @@ impl fmt::Display for GemmKind {
 /// Whether an operand is used as stored (`N`) or transposed (`T`).
 ///
 /// Operands are row-major; `Trans::T` reinterprets a stored `k × m` matrix
-/// as the logical `m × k` operand without materializing the transpose in
-/// the naive/blocked kernels.
+/// as the logical `m × k` operand without materializing the transpose:
+/// the naive/blocked kernels index it directly, and the packed kernel
+/// reads it while building its panels (a T-form A yields `MR`
+/// contiguous elements per depth step, a T-form B `NR` contiguous rows
+/// per panel). Only the naive/blocked multithreaded row-slab driver
+/// stages a transposed A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Trans {
     /// Use the operand as stored.
@@ -85,8 +93,10 @@ pub enum Trans {
 
 /// A configured GEMM: kernel choice plus thread count.
 ///
-/// The multithreaded driver partitions rows of `C` across `threads` OS
-/// threads; each thread runs the configured serial kernel on its slab.
+/// The multithreaded drivers partition rows of `C` across `threads` OS
+/// threads (at least two rows each). The packed kernel packs each depth
+/// slab of B once and shares it across its workers; the loop kernels
+/// run their serial body per row slab.
 ///
 /// # Example
 ///
@@ -186,8 +196,10 @@ impl Gemm {
     }
 
     /// Workspace elements [`Gemm::run_with_scratch`] needs for these
-    /// operand shapes: pack panels for the packed kernel (per worker in
-    /// the multithreaded driver) plus any `Trans::T` materialization.
+    /// operand shapes: pack panels for the packed kernel (one B slab,
+    /// plus one A block per worker), or a transposed A for the loop
+    /// kernels' multithreaded driver. The packed kernel needs the same
+    /// workspace for every `(ta, tb)`.
     ///
     /// # Example
     ///
@@ -205,31 +217,33 @@ impl Gemm {
     /// assert!(c.iter().all(|&x| x == 8.0));
     /// ```
     pub fn scratch_elems(&self, ta: Trans, tb: Trans, m: usize, n: usize, k: usize) -> usize {
+        let _ = tb; // no kernel stages a transposed B
         if m == 0 || n == 0 {
             return 0;
         }
-        let mt = self.threads > 1 && m >= 2 * self.threads;
+        let threads = self.threads_for(m);
         match self.kind {
             // The loop kernels consume T-form operands natively; only the
             // row-slab fan-out needs an N-form A.
             GemmKind::Naive | GemmKind::Blocked => {
-                if mt && ta == Trans::T {
+                if threads > 1 && ta == Trans::T {
                     m * k
                 } else {
                     0
                 }
             }
             GemmKind::Packed => {
-                let mut elems = 0;
-                if ta == Trans::T {
-                    elems += m * k;
-                }
-                if tb == Trans::T {
-                    elems += k * n;
-                }
-                let workers = if mt { packed::mt_workers(m, self.threads) } else { 1 };
-                elems + packed::b_pack_elems(n, k) + workers * packed::a_pack_elems()
+                packed::b_pack_elems(n, k) + packed::workers(m, threads) * packed::a_pack_elems()
             }
+        }
+    }
+
+    /// Threads worth splitting `m` rows of C over: at least two rows each.
+    fn threads_for(&self, m: usize) -> usize {
+        if m >= 2 * self.threads {
+            self.threads
+        } else {
+            1
         }
     }
 
@@ -264,52 +278,26 @@ impl Gemm {
             return;
         }
 
-        if self.threads <= 1 || m < 2 * self.threads {
-            return self.run_serial(ta, tb, m, n, k, a, b, beta, c, scratch);
+        let threads = self.threads_for(m);
+        if self.kind == GemmKind::Packed {
+            let mk = self.microkernel();
+            return packed::gemm(mk, ta, tb, m, n, k, a, b, beta, c, threads, scratch);
+        }
+        if threads == 1 {
+            return self.run_loop(ta, tb, m, n, k, a, b, beta, c);
         }
 
-        // The parallel drivers slab rows of C, which requires an N-form A;
+        // The loop kernels' row-slab fan-out requires an N-form A;
         // materialize the transpose once if needed.
-        let mut rest = scratch;
         let a_n: &[f32] = match ta {
             Trans::N => &a[..m * k],
             Trans::T => {
-                let (t, r) = std::mem::take(&mut rest).split_at_mut(m * k);
+                let t = &mut scratch[..m * k];
                 transpose_into(a, k, m, t);
-                rest = r;
                 t
             }
         };
-
-        if self.kind == GemmKind::Packed {
-            // The packed kernel gets a dedicated driver that packs B once
-            // and shares the panels read-only across workers, instead of
-            // letting every row-slab worker re-pack all of B.
-            let b_n: &[f32] = match tb {
-                Trans::N => &b[..k * n],
-                Trans::T => {
-                    let (t, r) = std::mem::take(&mut rest).split_at_mut(k * n);
-                    transpose_into(b, n, k, t);
-                    rest = r;
-                    t
-                }
-            };
-            packed::gemm_nn_mt_ws(
-                self.microkernel(),
-                m,
-                n,
-                k,
-                a_n,
-                b_n,
-                beta,
-                c,
-                self.threads,
-                rest,
-            );
-            return;
-        }
-
-        let rows_per = m.div_ceil(self.threads);
+        let rows_per = m.div_ceil(threads);
         std::thread::scope(|scope| {
             let mut c_rest = &mut c[..m * n];
             let mut a_rest = a_n;
@@ -322,7 +310,7 @@ impl Gemm {
                 a_rest = a_next;
                 let this = *self;
                 handles.push(scope.spawn(move || {
-                    this.run_serial(Trans::N, tb, rows, n, k, a_slab, b, beta, c_slab, &mut []);
+                    this.run_loop(Trans::N, tb, rows, n, k, a_slab, b, beta, c_slab);
                 }));
             }
             for h in handles {
@@ -331,8 +319,9 @@ impl Gemm {
         });
     }
 
+    /// One serial call of a loop kernel (naive or blocked).
     #[allow(clippy::too_many_arguments)] // BLAS-shaped signature
-    fn run_serial(
+    fn run_loop(
         &self,
         ta: Trans,
         tb: Trans,
@@ -343,36 +332,11 @@ impl Gemm {
         b: &[f32],
         beta: f32,
         c: &mut [f32],
-        scratch: &mut [f32],
     ) {
         match self.kind {
             GemmKind::Naive => naive::gemm(ta, tb, m, n, k, a, b, beta, c),
             GemmKind::Blocked => blocked::gemm(ta, tb, m, n, k, a, b, beta, c),
-            GemmKind::Packed => {
-                // The packed micro-kernel consumes N-form operands only.
-                let mut rest = scratch;
-                let a_n: &[f32] = match ta {
-                    Trans::N => a,
-                    Trans::T => {
-                        let (t, r) = std::mem::take(&mut rest).split_at_mut(m * k);
-                        transpose_into(a, k, m, t);
-                        rest = r;
-                        t
-                    }
-                };
-                let b_n: &[f32] = match tb {
-                    Trans::N => b,
-                    Trans::T => {
-                        let (t, r) = std::mem::take(&mut rest).split_at_mut(k * n);
-                        transpose_into(b, n, k, t);
-                        rest = r;
-                        t
-                    }
-                };
-                let (a_pack, rest) = rest.split_at_mut(packed::a_pack_elems());
-                let (b_pack, _) = rest.split_at_mut(packed::b_pack_elems(n, k));
-                packed::gemm_nn_ws(self.microkernel(), m, n, k, a_n, b_n, beta, c, a_pack, b_pack);
-            }
+            GemmKind::Packed => unreachable!("packed GEMMs run through packed::gemm"),
         }
     }
 }
@@ -516,38 +480,108 @@ mod tests {
     #[test]
     fn threaded_packed_is_bit_identical_to_serial() {
         // The shared-panel driver must preserve the serial accumulation
-        // order exactly, not just within tolerance.
+        // order exactly, not just within tolerance — for operands read
+        // as stored and read transposed while packing.
         for (m, n, k) in [(8, 8, 8), (33, 17, 300), (130, 64, 40), (256, 9, 257)] {
             let a = fill(m * k, 4);
             let b = fill(k * n, 5);
             let c0 = fill(m * n, 6);
-            for beta in [0.0f32, 0.5, 1.0] {
-                let mut serial = c0.clone();
-                Gemm::new(GemmKind::Packed).run(
-                    Trans::N,
-                    Trans::N,
-                    m,
-                    n,
-                    k,
-                    &a,
-                    &b,
-                    beta,
-                    &mut serial,
-                );
-                for threads in [2, 3, 7] {
-                    let mut par = c0.clone();
-                    Gemm::new(GemmKind::Packed).threads(threads).run(
-                        Trans::N,
-                        Trans::N,
-                        m,
-                        n,
-                        k,
-                        &a,
-                        &b,
-                        beta,
-                        &mut par,
-                    );
-                    assert_eq!(serial, par, "m={m} n={n} k={k} t={threads} beta={beta}");
+            for (ta, tb) in [
+                (Trans::N, Trans::N),
+                (Trans::N, Trans::T),
+                (Trans::T, Trans::N),
+                (Trans::T, Trans::T),
+            ] {
+                for beta in [0.0f32, 0.5, 1.0] {
+                    let mut serial = c0.clone();
+                    Gemm::new(GemmKind::Packed).run(ta, tb, m, n, k, &a, &b, beta, &mut serial);
+                    for threads in [2, 3, 7] {
+                        let mut par = c0.clone();
+                        Gemm::new(GemmKind::Packed)
+                            .threads(threads)
+                            .run(ta, tb, m, n, k, &a, &b, beta, &mut par);
+                        assert_eq!(
+                            serial, par,
+                            "m={m} n={n} k={k} t={threads} {ta:?}{tb:?} beta={beta}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The packed kernel's summation order, written out: C scaled by β,
+    /// then per `KC` slab of k an accumulator from zero, added to C.
+    /// `fused` selects `f32::mul_add` (AVX2) over mul-then-add.
+    #[allow(clippy::too_many_arguments)] // BLAS-shaped signature
+    fn slab_reference(
+        fused: bool,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        beta: f32,
+        c0: &[f32],
+    ) -> Vec<f32> {
+        let mut c: Vec<f32> = if beta == 0.0 {
+            vec![0.0; m * n]
+        } else if beta == 1.0 {
+            c0.to_vec()
+        } else {
+            c0.iter().map(|&v| v * beta).collect()
+        };
+        for p0 in (0..k).step_by(256) {
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in p0..k.min(p0 + 256) {
+                        let (av, bv) = (a[i * k + p], b[p * n + j]);
+                        acc = if fused { av.mul_add(bv, acc) } else { acc + av * bv };
+                    }
+                    c[i * n + j] += acc;
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn packed_matches_the_per_slab_reference_bit_for_bit() {
+        // Crosses KC (k = 257, 520) and MC (m = 121, 130), with edge
+        // tiles ragged for both 4×8 and 6×16 register blocks.
+        let shapes =
+            [(1, 1, 1), (5, 9, 7), (7, 17, 257), (13, 33, 520), (121, 15, 40), (130, 24, 3)];
+        for kernel in arch::available_kernels() {
+            let isa = kernel.isa();
+            for &(m, n, k) in &shapes {
+                let a = fill(m * k, 41);
+                let b = fill(k * n, 42);
+                let c0 = fill(m * n, 43);
+                let a_t = transpose(&a, m, k);
+                let b_t = transpose(&b, k, n);
+                for beta in [0.0f32, 0.5, 1.0] {
+                    let want = slab_reference(isa == arch::Isa::Avx2, m, n, k, &a, &b, beta, &c0);
+                    for threads in [1, 2] {
+                        for ta in [Trans::N, Trans::T] {
+                            for tb in [Trans::N, Trans::T] {
+                                let a_s = if ta == Trans::N { &a } else { &a_t };
+                                let b_s = if tb == Trans::N { &b } else { &b_t };
+                                let mut c = c0.clone();
+                                Gemm::new(GemmKind::Packed)
+                                    .threads(threads)
+                                    .isa(Some(isa))
+                                    .run(ta, tb, m, n, k, a_s, b_s, beta, &mut c);
+                                let bits =
+                                    |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(
+                                    bits(&c),
+                                    bits(&want),
+                                    "{isa} {m}x{n}x{k} t{threads} {ta:?}{tb:?} beta={beta}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -568,6 +602,11 @@ mod tests {
                     for tb in [Trans::N, Trans::T] {
                         let gemm = Gemm::new(kind).threads(threads);
                         let need = gemm.scratch_elems(ta, tb, m, n, k);
+                        if kind == GemmKind::Packed {
+                            // T-form operands are read while packing,
+                            // never staged.
+                            assert_eq!(need, gemm.scratch_elems(Trans::N, Trans::N, m, n, k));
+                        }
                         if scratch.len() < need {
                             scratch.resize(need, 0.0);
                         }

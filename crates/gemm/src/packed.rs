@@ -1,17 +1,28 @@
-//! Panel-packing GEMM with a 4×8 register micro-kernel.
+//! Panel-packing GEMM with a 6×16 register micro-kernel.
 //!
 //! This follows the classic Goto/BLIS structure: B is packed into
 //! column panels of width [`NR`], A into row panels of height [`MR`], and
-//! the micro-kernel keeps a 4×8 accumulator block entirely in registers.
-//! The micro-kernel itself is no longer fixed: the drivers take a
-//! [`Microkernel`] selected by runtime CPU-feature dispatch (see
-//! [`crate::arch`]), so the same packing and blocking structure runs an
-//! AVX2 FMA kernel, an SSE2 kernel, or the portable scalar reference.
+//! the micro-kernel keeps a 6×16 accumulator block entirely in registers
+//! — the BLIS Haswell sgemm shape (Low et al., *Analytical Modeling Is
+//! Enough for High-Performance BLIS*, TOMS 2016): twelve 8-lane FMA
+//! chains, enough to cover the FMA latency on both ports. The
+//! micro-kernel itself is not fixed: the driver takes a [`Microkernel`]
+//! selected by runtime CPU-feature dispatch (see [`crate::arch`]), so the
+//! same packing and blocking structure runs an AVX2 FMA kernel, an SSE2
+//! kernel, or the portable scalar reference.
+//!
+//! Packing reads either operand as stored or transposed ([`Trans`]), so
+//! a T-form operand is never materialized: its transpose happens while
+//! the panels are built, which touches every element once anyway.
 
 use crate::arch::{Microkernel, F32_MR as MR, F32_NR as NR};
+use crate::Trans;
 
 const KC: usize = 256;
-const MC: usize = 128;
+/// Rows of A per packed block: a multiple of [`MR`], so the last row
+/// panel of a full block stays inside the `MC·KC` buffer.
+const MC: usize = 120;
+const _: () = assert!(MC.is_multiple_of(MR));
 
 /// Elements of one A row-panel buffer (one per worker).
 pub(crate) const fn a_pack_elems() -> usize {
@@ -24,68 +35,27 @@ pub(crate) fn b_pack_elems(n: usize, k: usize) -> usize {
     KC.min(k) * n.div_ceil(NR) * NR
 }
 
-/// Worker count the multithreaded driver will actually use.
-pub(crate) fn mt_workers(m: usize, threads: usize) -> usize {
-    let blocks = m.div_ceil(MC);
-    threads.max(1).min(blocks.max(1))
+/// Worker count [`gemm`] will actually use.
+pub(crate) fn workers(m: usize, threads: usize) -> usize {
+    threads.max(1).min(m.div_ceil(MC).max(1))
 }
 
-/// `C = A·B + β·C` with both operands in N form, using caller-provided
-/// pack panels: `a_pack` holds at least [`a_pack_elems`], `b_pack` at
-/// least [`b_pack_elems`]`(n, k)` elements.
-#[allow(clippy::too_many_arguments)] // BLAS-shaped signature
-pub(crate) fn gemm_nn_ws(
-    mk: &dyn Microkernel,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    a_pack: &mut [f32],
-    b_pack: &mut [f32],
-) {
-    if beta == 0.0 {
-        c[..m * n].fill(0.0);
-    } else if beta != 1.0 {
-        for v in c[..m * n].iter_mut() {
-            *v *= beta;
-        }
-    }
-
-    let a_pack = &mut a_pack[..a_pack_elems()];
-    let b_pack = &mut b_pack[..b_pack_elems(n, k)];
-
-    for p0 in (0..k).step_by(KC) {
-        let pc = KC.min(k - p0);
-        pack_b(b_pack, b, n, k, p0, pc);
-        for i0 in (0..m).step_by(MC) {
-            let ic = MC.min(m - i0);
-            pack_a(a_pack, a, k, i0, ic, p0, pc);
-            macro_kernel(mk, a_pack, b_pack, c, n, i0, ic, pc);
-        }
-    }
-}
-
-/// Multithreaded `C = A·B + β·C`: each k-slab of B is packed **once** and
-/// shared read-only by every worker (the row-slab driver would re-pack it
-/// per thread), with contiguous row ranges of C fanned out over scoped
-/// threads per slab. The packing workspace stays at the serial kernel's
-/// `O(KC·n)` — one slab at a time — and each worker keeps a persistent
-/// A-panel buffer across slabs.
-///
-/// The k-slabs advance in the same ascending order as [`gemm_nn_ws`] and
-/// worker boundaries fall on `MC` row-block boundaries, so every element
-/// of C accumulates its partial products in exactly the serial order —
-/// the parallel path is bit-identical to the serial one.
-/// The caller provides the packing workspace: `packs` holds at least
-/// [`b_pack_elems`]`(n, k) + `[`mt_workers`]`(m, threads) ·`
+/// `C = op(A)·op(B) + β·C` over caller-provided pack panels: `packs`
+/// holds at least [`b_pack_elems`]`(n, k) + `[`workers`]`(m, threads) ·`
 /// [`a_pack_elems`] elements (B panel first, then one A panel per
 /// worker).
+///
+/// Each k-slab of B is packed **once** and shared read-only by every
+/// worker; contiguous row ranges of C, on `MC` block boundaries, fan out
+/// over scoped threads per slab (with one worker, the slab runs inline).
+/// Every element of C therefore accumulates the same per-slab partial
+/// sums in the same ascending slab order whatever the thread count: the
+/// parallel path is bit-identical to the serial one.
 #[allow(clippy::too_many_arguments)] // BLAS-shaped signature
-pub(crate) fn gemm_nn_mt_ws(
+pub(crate) fn gemm(
     mk: &dyn Microkernel,
+    ta: Trans,
+    tb: Trans,
     m: usize,
     n: usize,
     k: usize,
@@ -96,99 +66,130 @@ pub(crate) fn gemm_nn_mt_ws(
     threads: usize,
     packs: &mut [f32],
 ) {
-    // With a single row block there is nothing to fan out.
-    let blocks = m.div_ceil(MC);
-    let workers = mt_workers(m, threads);
-    if workers <= 1 {
-        let (b_pack, a_pack) = packs.split_at_mut(b_pack_elems(n, k));
-        return gemm_nn_ws(mk, m, n, k, a, b, beta, c, a_pack, b_pack);
-    }
-
-    // Scale C by beta once up front, exactly like the serial kernel.
+    let c = &mut c[..m * n];
     if beta == 0.0 {
-        c[..m * n].fill(0.0);
+        c.fill(0.0);
     } else if beta != 1.0 {
-        for v in c[..m * n].iter_mut() {
+        for v in c.iter_mut() {
             *v *= beta;
         }
     }
 
-    // Pre-split C into per-worker row slabs (on MC block boundaries) and
-    // give each worker a persistent A-panel buffer.
-    let blocks_per = blocks.div_ceil(workers);
-    let mut parts: Vec<(usize, &mut [f32])> = Vec::with_capacity(workers);
-    let mut c_rest = &mut c[..m * n];
-    let mut row = 0;
-    while !c_rest.is_empty() {
-        let rows = (blocks_per * MC).min(c_rest.len() / n);
-        let (c_slab, c_next) = c_rest.split_at_mut(rows * n);
-        c_rest = c_next;
-        parts.push((row, c_slab));
-        row += rows;
-    }
-
+    let workers = workers(m, threads);
+    let rows_per = m.div_ceil(MC).div_ceil(workers) * MC;
     let (b_pack, a_packs) = packs.split_at_mut(b_pack_elems(n, k));
     for p0 in (0..k).step_by(KC) {
         let pc = KC.min(k - p0);
-        pack_b(b_pack, b, n, k, p0, pc);
+        pack_b(b_pack, tb, b, n, k, p0, pc);
         let b_pack = &*b_pack;
-        std::thread::scope(|scope| {
-            for ((row0, c_slab), a_pack) in parts.iter_mut().zip(a_packs.chunks_mut(a_pack_elems()))
-            {
-                let row0 = *row0;
-                scope.spawn(move || {
-                    let rows = c_slab.len() / n;
-                    for i0 in (0..rows).step_by(MC) {
-                        let ic = MC.min(rows - i0);
-                        pack_a(a_pack, a, k, row0 + i0, ic, p0, pc);
-                        macro_kernel(mk, a_pack, b_pack, c_slab, n, i0, ic, pc);
-                    }
-                });
+        let run = |(w, (c_slab, a_pack)): (usize, (&mut [f32], &mut [f32]))| {
+            let rows = c_slab.len() / n;
+            for i0 in (0..rows).step_by(MC) {
+                let ic = MC.min(rows - i0);
+                pack_a(a_pack, ta, a, m, k, w * rows_per + i0, ic, p0, pc);
+                macro_kernel(mk, a_pack, b_pack, c_slab, n, i0, ic, pc);
             }
-        });
-    }
-}
-
-/// Packs a `pc × n` horizontal slab of B into `NR`-wide column panels,
-/// zero-padding the final partial panel.
-fn pack_b(dst: &mut [f32], b: &[f32], n: usize, _k: usize, p0: usize, pc: usize) {
-    let panels = n.div_ceil(NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let jw = NR.min(n - j0);
-        let base = jp * pc * NR;
-        for p in 0..pc {
-            let src = &b[(p0 + p) * n + j0..(p0 + p) * n + j0 + jw];
-            let out = &mut dst[base + p * NR..base + p * NR + NR];
-            out[..jw].copy_from_slice(src);
-            out[jw..].fill(0.0);
+        };
+        let slabs = c.chunks_mut(rows_per * n).zip(a_packs.chunks_mut(a_pack_elems())).enumerate();
+        if workers == 1 {
+            slabs.for_each(run);
+        } else {
+            std::thread::scope(|scope| {
+                for slab in slabs {
+                    scope.spawn(move || run(slab));
+                }
+            });
         }
     }
 }
 
-/// Packs an `ic × pc` block of A into `MR`-tall row panels, zero-padding the
-/// final partial panel.
-fn pack_a(dst: &mut [f32], a: &[f32], k: usize, i0: usize, ic: usize, p0: usize, pc: usize) {
+/// Packs the `pc`-deep slab of B at depth `p0` into `NR`-wide column
+/// panels, zero-padding the final partial panel. B is `k × n` as stored
+/// (`Trans::N`) or stored `n × k` (`Trans::T`).
+fn pack_b(dst: &mut [f32], tb: Trans, b: &[f32], n: usize, k: usize, p0: usize, pc: usize) {
+    let panels = n.div_ceil(NR);
+    for (jp, panel) in dst[..panels * pc * NR].chunks_exact_mut(pc * NR).enumerate() {
+        let j0 = jp * NR;
+        let jw = NR.min(n - j0);
+        match tb {
+            Trans::N => pack_strips::<NR>(panel, b, n, j0, jw, p0),
+            Trans::T => pack_rows::<NR>(panel, b, k, j0, jw, p0),
+        }
+    }
+}
+
+/// Packs rows `i0..i0 + ic` of A, depth `p0..p0 + pc`, into `MR`-tall
+/// row panels, zero-padding the final partial panel. A is `m × k` as
+/// stored (`Trans::N`) or stored `k × m` (`Trans::T`).
+#[allow(clippy::too_many_arguments)]
+fn pack_a(
+    dst: &mut [f32],
+    ta: Trans,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    i0: usize,
+    ic: usize,
+    p0: usize,
+    pc: usize,
+) {
     let panels = ic.div_ceil(MR);
     for (ip, panel) in dst[..panels * pc * MR].chunks_exact_mut(pc * MR).enumerate() {
         let r0 = i0 + ip * MR;
         let rh = MR.min(i0 + ic - r0);
-        let row = |r: usize| &a[(r0 + r) * k + p0..][..pc];
-        if rh == MR {
-            let rows: [&[f32]; MR] = std::array::from_fn(row);
-            for (p, out) in panel.chunks_exact_mut(MR).enumerate() {
-                for (o, r) in out.iter_mut().zip(&rows) {
-                    *o = r[p];
-                }
-            }
-        } else {
-            panel.fill(0.0);
-            for r in 0..rh {
-                for (out, &v) in panel[r..].iter_mut().step_by(MR).zip(row(r)) {
-                    *out = v;
-                }
+        match ta {
+            Trans::N => pack_rows::<MR>(panel, a, k, r0, rh, p0),
+            Trans::T => pack_strips::<MR>(panel, a, m, r0, rh, p0),
+        }
+    }
+}
+
+/// Interleaves the `w ≤ W` stored rows `first..first + w` (row stride
+/// `ld`) from column `p0` on into `W`-wide depth steps:
+/// `panel[p·W + r] = src[(first + r)·ld + p0 + p]`. Missing rows are zero.
+fn pack_rows<const W: usize>(
+    panel: &mut [f32],
+    src: &[f32],
+    ld: usize,
+    first: usize,
+    w: usize,
+    p0: usize,
+) {
+    let pc = panel.len() / W;
+    let row = |r: usize| &src[(first + r) * ld + p0..][..pc];
+    if w == W {
+        let rows: [&[f32]; W] = std::array::from_fn(row);
+        for (p, out) in panel.chunks_exact_mut(W).enumerate() {
+            for (o, r) in out.iter_mut().zip(&rows) {
+                *o = r[p];
             }
         }
+    } else {
+        panel.fill(0.0);
+        for r in 0..w {
+            for (out, &v) in panel[r..].iter_mut().step_by(W).zip(row(r)) {
+                *out = v;
+            }
+        }
+    }
+}
+
+/// Copies the `w ≤ W` contiguous elements `first..first + w` of each
+/// stored row from `p0` on (row stride `ld`) into `W`-wide depth steps:
+/// `panel[p·W + j] = src[(p0 + p)·ld + first + j]`. Missing columns are
+/// zero.
+fn pack_strips<const W: usize>(
+    panel: &mut [f32],
+    src: &[f32],
+    ld: usize,
+    first: usize,
+    w: usize,
+    p0: usize,
+) {
+    for (p, out) in panel.chunks_exact_mut(W).enumerate() {
+        let start = (p0 + p) * ld + first;
+        out[..w].copy_from_slice(&src[start..start + w]);
+        out[w..].fill(0.0);
     }
 }
 

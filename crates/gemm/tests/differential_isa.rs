@@ -69,7 +69,9 @@ fn naive_f64(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f64> {
 
 /// Shapes chosen to hit every remainder path: odd k (pair-packing
 /// tail), ragged n (partial column panel), m off the MR grid, and
-/// degenerate tiny dims.
+/// degenerate tiny dims — for both the 4×8 int8 block and the 6×16 f32
+/// block (m ∈ {1, 5, 7, 13} around 6 and 12, n ∈ {1, 15, 17, 33} around
+/// 16 and 32).
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (4, 8, 16),
@@ -79,6 +81,12 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (3, 17, 129),
     (31, 7, 258),
     (64, 40, 300),
+    (1, 15, 9),
+    (5, 17, 40),
+    (7, 33, 23),
+    (13, 1, 5),
+    (6, 16, 257),
+    (12, 32, 64),
 ];
 
 #[test]
